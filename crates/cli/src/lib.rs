@@ -8,13 +8,11 @@
 //!              [--memserver-watts W] [--faults PATH]
 //!              [--fault-profile light|heavy] [--trace-out PATH]
 //!              [--metrics-out PATH] [--log-level off|warn|info|debug]
-//!              [--fidelity per-page|batched] [--engine interval|event]
 //!              [--scale paper|smoke|datacenter] [--racks N]
 //!              [--planner global|local] [--jobs N]
 //!              [--scenario NAME]
 //! oasis week   [--policy P] [--homes N] [--cons N] [--vms N] [--seed S]
-//!              [--jobs N] [--fidelity per-page|batched]
-//!              [--engine interval|event]
+//!              [--jobs N]
 //! oasis micro  [--seed S] [--fidelity per-page|batched]
 //! oasis report [same sim flags] [--format text|json] [--top N]
 //!              [--wall true] [--folded PATH] [--folded-metric wall|sim|calls]
@@ -24,12 +22,13 @@
 //! oasis trace  stats <PATH>
 //! ```
 //!
-//! Flags accept both `--flag value` and `--flag=value`.
+//! Flags accept both `--flag value` and `--flag=value`. A file that
+//! cannot be read or written fails the command with its path named.
 //!
 //! `--scale` picks a canned deployment shape (the paper's §5.1 rack, the
 //! reduced smoke rack, or the 5,000-rack datacenter tier); `--racks`
 //! overrides its rack count. Any run spanning more than one rack goes
-//! through the sharded datacenter engine ([`oasis_cluster::shard`]):
+//! through the sharded datacenter tier ([`oasis_cluster::shard`]):
 //! `sim` prints the fleet summary and `report` renders the per-rack
 //! digest, both byte-identical across `--jobs` worker counts.
 //!
@@ -38,7 +37,7 @@
 //! `sim` prints the golden digest line, `report` renders the full
 //! digest (text or fixed-field-order JSON). The preset fixes the fleet
 //! shape, so `--scale`/`--racks`/`--homes`/`--cons`/`--vms` conflict
-//! with it; `--seed`, `--engine`, `--fidelity` and `--jobs` compose.
+//! with it; `--seed` and `--jobs` compose.
 
 pub mod args;
 pub mod report;
@@ -52,7 +51,7 @@ use oasis_core::PolicyKind;
 use oasis_faults::{FaultProfile, FaultSchedule};
 use oasis_migration::lab::{LabOptions, MicroLab};
 use oasis_power::MemoryServerProfile;
-use oasis_sim::{EngineMode, ModelFidelity, SimDuration, WorkerPool};
+use oasis_sim::{ModelFidelity, SimDuration, WorkerPool};
 use oasis_telemetry::{FoldedMetric, JsonlSink, Level, Telemetry};
 use oasis_trace::{ActivityModel, DayKind, TraceSet};
 use oasis_vm::apps::DesktopWorkload;
@@ -67,11 +66,9 @@ fn usage() -> ! {
          \x20             [--memserver-watts 42.2] [--faults schedule.txt] \\\n\
          \x20             [--fault-profile light|heavy] [--trace-out events.jsonl] \\\n\
          \x20             [--metrics-out metrics.prom] [--log-level debug] \\\n\
-         \x20             [--fidelity per-page|batched] [--engine interval|event] \\\n\
          \x20             [--scale paper|smoke|datacenter] [--racks N] \\\n\
          \x20             [--planner global|local] [--jobs N] [--scenario NAME]\n\
-         oasis week   --policy FulltoPartial --seed 1 [--jobs N] \\\n\
-         \x20             [--fidelity per-page|batched] [--engine interval|event]\n\
+         oasis week   --policy FulltoPartial --seed 1 [--jobs N]\n\
          oasis micro  --seed 1 [--fidelity per-page|batched]\n\
          oasis report --policy FulltoPartial --day weekday --seed 1 \\\n\
          \x20             [--format text|json] [--top 10] [--wall true] \\\n\
@@ -88,6 +85,16 @@ fn usage() -> ! {
 fn fail(msg: impl core::fmt::Display) -> ! {
     eprintln!("oasis: {msg}");
     std::process::exit(1);
+}
+
+/// Reads `path` to a string, failing with the path named.
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("{path}: {e}")))
+}
+
+/// Writes `text` to `path`, failing with the path named.
+fn write_file(path: &str, text: impl AsRef<[u8]>) {
+    std::fs::write(path, text).unwrap_or_else(|e| fail(format!("{path}: {e}")))
 }
 
 fn parse_day(s: &str) -> DayKind {
@@ -110,7 +117,7 @@ fn scale_from(args: &Args) -> Option<Scale> {
 
 /// Racks requested by `--racks`, defaulting to the `--scale` preset's
 /// count (1 without a preset). More than one rack routes the command
-/// through the sharded datacenter engine.
+/// through the sharded datacenter tier.
 fn racks_from(args: &Args) -> u32 {
     let default = scale_from(args).map_or(1, |s| s.racks);
     match args.get_or("racks", default).unwrap_or_else(|e| fail(e)) {
@@ -126,20 +133,6 @@ fn scenario_from(args: &Args) -> Option<ScenarioSpec> {
     Some(scenarios::find(name).unwrap_or_else(|| {
         fail(format!("unknown scenario {name:?} (registered: {})", scenarios::names().join(", ")))
     }))
-}
-
-/// Engine/fidelity selection for a scenario run: explicit flags win,
-/// the environment (`OASIS_ENGINE`/`OASIS_FIDELITY`) fills the rest.
-fn scenario_select(args: &Args) -> (EngineMode, ModelFidelity) {
-    let engine = args
-        .get("engine")
-        .map(|e| e.parse().unwrap_or_else(|e| fail(e)))
-        .unwrap_or_else(EngineMode::from_env);
-    let fidelity = args
-        .get("fidelity")
-        .map(|f| f.parse().unwrap_or_else(|e| fail(e)))
-        .unwrap_or_else(ModelFidelity::from_env);
-    (engine, fidelity)
 }
 
 /// Epoch-planner policy requested by `--planner` (global by default).
@@ -184,19 +177,13 @@ fn cluster_config(args: &Args) -> ClusterConfig {
         let watts: f64 = watts.parse().unwrap_or_else(|_| fail("bad --memserver-watts"));
         builder = builder.memserver(MemoryServerProfile::with_budget_watts(watts));
     }
-    if let Some(f) = args.get("fidelity") {
-        builder = builder.fidelity(f.parse().unwrap_or_else(|e| fail(e)));
-    }
-    if let Some(e) = args.get("engine") {
-        builder = builder.engine(e.parse().unwrap_or_else(|e| fail(e)));
-    }
     if let Some(path) = args.get("trace") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(e));
+        let text = read_file(path);
         let set = TraceSet::from_text(&text).unwrap_or_else(|e| fail(e));
         builder = builder.trace(set);
     }
     if let Some(path) = args.get("faults") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(e));
+        let text = read_file(path);
         let schedule = FaultSchedule::from_text(&text).unwrap_or_else(|e| fail(e));
         builder = builder.faults(schedule);
     } else if let Some(profile) = args.get("fault-profile") {
@@ -228,8 +215,6 @@ const BASE_FLAGS: &[&str] = &[
     "memserver-watts",
     "trace",
     "jobs",
-    "fidelity",
-    "engine",
 ];
 
 /// The worker pool requested by `--jobs`, falling back to `OASIS_JOBS`
@@ -259,8 +244,6 @@ const SIM_FLAGS: &[&str] = &[
     "trace-out",
     "metrics-out",
     "log-level",
-    "fidelity",
-    "engine",
     "scale",
     "racks",
     "planner",
@@ -284,7 +267,8 @@ fn telemetry_from(args: &Args) -> Telemetry {
         .unwrap_or(Level::Info);
     let telemetry = Telemetry::new(level);
     if let Some(path) = args.get("trace-out") {
-        let sink = JsonlSink::create(Path::new(path)).unwrap_or_else(|e| fail(e));
+        let sink =
+            JsonlSink::create(Path::new(path)).unwrap_or_else(|e| fail(format!("{path}: {e}")));
         telemetry.attach(Box::new(sink));
     }
     telemetry
@@ -298,13 +282,13 @@ fn write_metrics(telemetry: &Telemetry, path: &str) {
     } else {
         telemetry.metrics().to_prometheus()
     };
-    std::fs::write(path, text).unwrap_or_else(|e| fail(e));
+    write_file(path, text);
 }
 
 /// Runs a sharded multi-rack day and prints the fleet summary:
-/// totals, the epoch planner's rebalance ledger, SLA violations and
-/// the event engine's skip accounting. Deterministic for a fixed seed,
-/// byte-identical across `--jobs` worker counts.
+/// totals, the epoch planner's rebalance ledger and SLA violations.
+/// Deterministic for a fixed seed, byte-identical across `--jobs`
+/// worker counts.
 fn cmd_sim_datacenter(args: &Args, racks: u32) {
     for flag in ["trace-out", "metrics-out", "log-level"] {
         if args.get(flag).is_some() {
@@ -313,7 +297,6 @@ fn cmd_sim_datacenter(args: &Args, racks: u32) {
     }
     let dc = DatacenterConfig { base: cluster_config(args), racks, planner: planner_from(args) };
     let mut report = run_datacenter_day(&pool_from(args), &dc, &|| 0.0);
-    let stats = report.stats_total();
     println!(
         "datacenter {:<14} racks={} hosts={} vms={} planner={}",
         dc.base.policy, report.racks, report.hosts, report.vms, report.planner
@@ -329,10 +312,6 @@ fn cmd_sim_datacenter(args: &Args, racks: u32) {
         "rebalance: grants={} bytes={}   sla violations (>10s): {}",
         report.rebalance_grants, report.rebalance_bytes, sla
     );
-    println!(
-        "engine: replays={} cached-host-intervals={} fetch-skipped={}",
-        stats.planner_replays, stats.cached_host_intervals, stats.fetch_skipped
-    );
 }
 
 /// Runs a named scenario from the registry and prints its digest line —
@@ -347,8 +326,7 @@ fn cmd_sim_scenario(args: &Args, spec: &ScenarioSpec) {
     }
     let seed = args.get_or("seed", 1u64).unwrap_or_else(|e| fail(e));
     let report =
-        scenarios::run_scenario_with(&pool_from(args), spec, seed, Some(scenario_select(args)))
-            .unwrap_or_else(|e| fail(e));
+        scenarios::run_scenario_on(&pool_from(args), spec, seed).unwrap_or_else(|e| fail(e));
     println!("{}", report.digest());
     println!("guards: {}", spec.guards);
 }
@@ -400,8 +378,6 @@ const REPORT_FLAGS: &[&str] = &[
     "trace",
     "faults",
     "fault-profile",
-    "fidelity",
-    "engine",
     "format",
     "top",
     "wall",
@@ -434,7 +410,7 @@ fn cmd_report_datacenter(args: &Args, racks: u32) {
         other => fail(format!("unknown report format {other:?} (text|json)")),
     };
     match args.get("out") {
-        Some(path) => std::fs::write(path, text).unwrap_or_else(|e| fail(e)),
+        Some(path) => write_file(path, text),
         None => print!("{text}"),
     }
 }
@@ -459,15 +435,14 @@ fn cmd_report_scenario(args: &Args, spec: &ScenarioSpec) {
     }
     let seed = args.get_or("seed", 1u64).unwrap_or_else(|e| fail(e));
     let report =
-        scenarios::run_scenario_with(&pool_from(args), spec, seed, Some(scenario_select(args)))
-            .unwrap_or_else(|e| fail(e));
+        scenarios::run_scenario_on(&pool_from(args), spec, seed).unwrap_or_else(|e| fail(e));
     let text = match args.get("format").unwrap_or("text") {
         "text" => report::render_scenario_text(spec, &report),
         "json" => report::render_scenario_json(&report),
         other => fail(format!("unknown report format {other:?} (text|json)")),
     };
     match args.get("out") {
-        Some(path) => std::fs::write(path, text).unwrap_or_else(|e| fail(e)),
+        Some(path) => write_file(path, text),
         None => print!("{text}"),
     }
 }
@@ -490,10 +465,10 @@ fn cmd_report(args: Args) {
     if let Some(path) = args.get("folded") {
         let metric: FoldedMetric =
             args.get_or("folded-metric", FoldedMetric::SimMicros).unwrap_or_else(|e| fail(e));
-        std::fs::write(path, run.tree.folded(metric)).unwrap_or_else(|e| fail(e));
+        write_file(path, run.tree.folded(metric));
     }
     if let Some(path) = args.get("audit-out") {
-        std::fs::write(path, report::audit_jsonl(&run.records)).unwrap_or_else(|e| fail(e));
+        write_file(path, report::audit_jsonl(&run.records));
     }
     let text = match args.get("format").unwrap_or("text") {
         "text" => report::render_text(&run, top, include_wall),
@@ -501,7 +476,7 @@ fn cmd_report(args: Args) {
         other => fail(format!("unknown report format {other:?} (text|json)")),
     };
     match args.get("out") {
-        Some(path) => std::fs::write(path, text).unwrap_or_else(|e| fail(e)),
+        Some(path) => write_file(path, text),
         None => print!("{text}"),
     }
 }
@@ -569,7 +544,7 @@ fn cmd_trace(mut argv: Vec<String>) {
             let text = set.to_text();
             match args.get("out") {
                 Some(path) => {
-                    std::fs::write(path, text).unwrap_or_else(|e| fail(e));
+                    write_file(path, text);
                     println!("wrote {} user-days to {path}", set.len());
                 }
                 None => print!("{text}"),
@@ -578,7 +553,7 @@ fn cmd_trace(mut argv: Vec<String>) {
         "stats" => {
             let args = Args::parse(argv, &[]).unwrap_or_else(|e| fail(e));
             let [path] = args.positional() else { usage() };
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(e));
+            let text = read_file(path);
             let set = TraceSet::from_text(&text).unwrap_or_else(|e| fail(e));
             for kind in [DayKind::Weekday, DayKind::Weekend] {
                 let days = set.of_kind(kind);

@@ -54,14 +54,12 @@ impl Scale {
     /// The datacenter tier: 5,000 micro-racks of 4 home + 1
     /// consolidation host (25,000 hosts) packing 10 VMs per home
     /// (200,000 VMs). Racks are far sparser than the paper's (40 VMs vs
-    /// 900) so whole racks actually quiesce overnight — the regime
-    /// where the event engine's structural skipping pays (DESIGN.md
-    /// §17: planner replays and fetch skips only fire on intervals with
-    /// no session edge anywhere in the shard) — and trace offsets
-    /// stagger by timezone (one hour per rack, round-robin over 24
-    /// zones), so the consolidation wave sweeps across the fleet and
-    /// the epoch planner has simultaneous donors and borrowers to
-    /// match.
+    /// 900), so whole racks quiesce overnight and a 200k-VM day fits
+    /// comfortably in memory; the shape is pinned by the shard goldens
+    /// and the benchmark. Trace offsets stagger by timezone (one hour
+    /// per rack, round-robin over 24 zones), so the consolidation wave
+    /// sweeps across the fleet and the epoch planner has simultaneous
+    /// donors and borrowers to match.
     pub const DATACENTER: Scale = Scale { home_hosts: 4, vms_per_host: 10, racks: 5_000 };
 
     /// Consolidation hosts per rack conventionally paired with this

@@ -9,10 +9,8 @@
 //!
 //! * [`config`] — cluster configuration with a validating builder.
 //! * [`sim`] — the interval-driven simulator executing the manager's
-//!   plans against the modeled cluster.
-//! * [`engine`] — the event-driven skip-ahead engine: same observable
-//!   behaviour, selected with `OASIS_ENGINE=event` (or `--engine`),
-//!   locked byte-identical by the three-way equivalence battery.
+//!   plans against the modeled cluster, one 5-minute trace interval at
+//!   a time (the one day loop `run_day` and the shard tier share).
 //! * [`results`] — the per-run report every figure is printed from.
 //! * [`experiments`] — canned configurations for each table and figure.
 //! * [`scenarios`] — the named stress-scenario registry (heterogeneous
@@ -23,8 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod engine;
-mod events;
 pub mod experiments;
 pub mod results;
 pub mod scenarios;
@@ -34,7 +30,6 @@ pub mod sim;
 pub use config::{
     ActivitySpike, ClusterConfig, ClusterConfigBuilder, HostGeneration, ScenarioSpec,
 };
-pub use engine::EngineStats;
 pub use results::{DecisionCounts, SimReport, VmPlacement};
 pub use scenarios::{GenerationEnergy, ScenarioReport};
 pub use shard::{

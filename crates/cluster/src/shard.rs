@@ -1,14 +1,13 @@
 //! The datacenter tier: rack-sharded parallel simulation.
 //!
 //! A [`run_datacenter_day`] run shards the cluster per rack. Each rack is a
-//! complete [`ClusterSim`] — its own residency and host indices, event
-//! queue / day schedule, energy and quiescence ledgers, manager and RNG
-//! streams — stepped concurrently across the caller's
-//! [`oasis_sim::pool::WorkerPool`] in *epochs* of [`EPOCH_INTERVALS`]
-//! trace intervals. Epoch boundaries are deterministic cross-rack
-//! barriers: every rack reaches the boundary before any rack continues,
-//! and between barriers the *epoch planner* runs on the driver thread
-//! over a merged read-only view of all racks:
+//! complete [`ClusterSim`] — its own residency and host indices, energy
+//! and quiescence ledgers, manager and RNG streams — stepped
+//! concurrently across the caller's [`oasis_sim::pool::WorkerPool`] in
+//! *epochs* of [`EPOCH_INTERVALS`] trace intervals. Epoch boundaries are
+//! deterministic cross-rack barriers: every rack reaches the boundary
+//! before any rack continues, and between barriers the *epoch planner*
+//! runs on the driver thread over a merged read-only view of all racks:
 //!
 //! * [`PlannerScope::Global`] assembles one [`RackLoad`] per rack (in
 //!   rack order) and applies [`plan_rebalance`]'s capacity grants —
@@ -19,31 +18,26 @@
 //!
 //! ## Determinism
 //!
-//! The result is byte-identical across worker counts and engines:
+//! The result is byte-identical across worker counts:
 //!
 //! * racks never share mutable state mid-epoch — each owns its sim, and
 //!   the pool returns racks in input (= rack) order;
 //! * the epoch planner is a pure function of the per-rack loads, which
 //!   are themselves functions of rack state at the barrier; grants are
-//!   applied on the driver thread in grant order;
-//! * a capacity grant bumps the rack's view version (killing any
-//!   replayable planning round) and arms a growth wake at the next
-//!   interval, so the event engine observes the grant exactly where the
-//!   interval walker's always-hot phases would;
+//!   applied on the driver thread in grant order, and each rack's next
+//!   interval plans and fetches against the granted capacity;
 //! * with one rack there are no barriers and no epoch planner: the
 //!   sharded day degenerates to the monolithic day loop, statement for
 //!   statement — `tests/shard_equivalence.rs` pins both properties.
 
 use oasis_core::rebalance::{plan_rebalance, RackLoad};
 use oasis_core::PolicyKind;
-use oasis_mem::ByteSize;
 use oasis_sim::pool::WorkerPool;
-use oasis_sim::{EngineMode, SimTime};
+use oasis_sim::SimTime;
 use oasis_telemetry::{ProfileScope, Telemetry};
 use oasis_trace::{DayKind, INTERVALS_PER_DAY};
 
 use crate::config::ClusterConfig;
-use crate::engine::{EngineStats, EventDayState};
 use crate::experiments::Scale;
 use crate::results::SimReport;
 use crate::sim::{ClusterSim, DayPhases};
@@ -151,27 +145,16 @@ pub fn rack_config(base: &ClusterConfig, rack: u32) -> ClusterConfig {
     cfg
 }
 
-/// How one rack's day loop is being driven between barriers.
-enum RackRunner {
-    /// The interval walker: phases run hot every interval.
-    Interval {
-        /// The walker's planning-cadence state (`next_plan` local of
-        /// the monolithic loop).
-        next_plan: SimTime,
-    },
-    /// The event-driven engine with its parked day state.
-    Event(Box<EventDayState>),
-}
-
 /// One rack mid-day: the sim plus everything the monolithic day loop
 /// kept on its stack, parked so the rack can pause at epoch barriers.
 struct RackDay {
     rack: u32,
     sim: ClusterSim,
-    runner: RackRunner,
+    /// The day loop's planning cadence (`next_plan` local of
+    /// [`ClusterSim::run_day_timed`]).
+    next_plan: SimTime,
     /// The rack's `run_day` profiler scope, held open across barriers.
     day_scope: ProfileScope,
-    stats: EngineStats,
     phases: DayPhases,
     /// Wall seconds this rack spent being stepped (construction + all
     /// epochs), for the per-rack p50/p99 roll-up.
@@ -186,8 +169,7 @@ const _: fn() = || {
 
 impl RackDay {
     /// Builds the rack and opens its day, mirroring the monolithic
-    /// prologue: construct, attach telemetry, open the `run_day` scope,
-    /// and (on the event engine) precompute the wake schedule.
+    /// prologue: construct, attach telemetry, open the `run_day` scope.
     fn begin(
         rack: u32,
         cfg: ClusterConfig,
@@ -200,43 +182,15 @@ impl RackDay {
         let mut sim = ClusterSim::new_timed(cfg, &local, &mut phases);
         sim.attach_telemetry(tel);
         let day_scope = sim.telemetry.profile("run_day");
-        let runner = if sim.cfg.engine == EngineMode::EventDriven {
-            RackRunner::Event(Box::new(sim.begin_event_day(&local, &mut phases)))
-        } else {
-            RackRunner::Interval { next_plan: SimTime::ZERO }
-        };
-        RackDay {
-            rack,
-            sim,
-            runner,
-            day_scope,
-            stats: EngineStats::default(),
-            phases,
-            wall_secs: clock() - t0,
-        }
+        RackDay { rack, sim, next_plan: SimTime::ZERO, day_scope, phases, wall_secs: clock() - t0 }
     }
 
     /// Steps intervals `lo..hi` — one epoch's worth between barriers.
     fn step_range(&mut self, lo: usize, hi: usize, clock: &(dyn Fn() -> f64 + Sync)) {
         let local = || clock();
         let t0 = clock();
-        match &mut self.runner {
-            RackRunner::Interval { next_plan } => {
-                for interval in lo..hi {
-                    self.sim.step_interval(interval, next_plan, &local, &mut self.phases);
-                }
-            }
-            RackRunner::Event(day) => {
-                for interval in lo..hi {
-                    self.sim.step_event_interval(
-                        day,
-                        interval,
-                        &local,
-                        &mut self.phases,
-                        &mut self.stats,
-                    );
-                }
-            }
+        for interval in lo..hi {
+            self.sim.step_interval(interval, &mut self.next_plan, &local, &mut self.phases);
         }
         self.wall_secs += clock() - t0;
     }
@@ -252,26 +206,13 @@ impl RackDay {
         }
     }
 
-    /// Applies a per-host capacity delta from the epoch planner and arms
-    /// the event engine's fetch pass at `interval` so the grant is
-    /// observed exactly where the interval walker would observe it.
-    fn apply_capacity(&mut self, per_host: ByteSize, interval: usize) {
-        self.sim.set_cons_capacity(per_host);
-        if let RackRunner::Event(day) = &mut self.runner {
-            day.arm_growth_wake(interval);
-        }
-    }
-
-    /// Closes the rack's day: retires the event state, ends the day
-    /// scope, and assembles the report — the monolithic epilogue.
-    fn finish(self, clock: &(dyn Fn() -> f64 + Sync)) -> (SimReport, EngineStats, DayPhases, f64) {
+    /// Closes the rack's day: ends the day scope and assembles the
+    /// report — the monolithic epilogue.
+    fn finish(self, clock: &(dyn Fn() -> f64 + Sync)) -> (SimReport, DayPhases, f64) {
         let t0 = clock();
-        if let RackRunner::Event(day) = self.runner {
-            day.finish();
-        }
         self.day_scope.end();
         let report = self.sim.finish_report();
-        (report, self.stats, self.phases, self.wall_secs + clock() - t0)
+        (report, self.phases, self.wall_secs + clock() - t0)
     }
 }
 
@@ -299,9 +240,6 @@ pub struct DatacenterReport {
     pub rebalance_bytes: u64,
     /// Per-rack day reports, in rack order.
     pub rack_reports: Vec<SimReport>,
-    /// Per-rack engine skip accounting (zeroed under the interval
-    /// walker), in rack order.
-    pub rack_stats: Vec<EngineStats>,
     /// Per-rack wall seconds (construction + stepping + finish).
     pub rack_wall_secs: Vec<f64>,
     /// Per-rack phase breakdowns.
@@ -309,28 +247,6 @@ pub struct DatacenterReport {
 }
 
 impl DatacenterReport {
-    /// Roll-up of every rack's skip accounting.
-    // oasis-lint: boundary(float-energy, "joule totals fold in fixed ascending rack order, so the f64 sums are reproducible; the per-rack integer-mj ledgers carry the exact truth")
-    pub fn stats_total(&self) -> EngineStats {
-        let mut total = EngineStats::default();
-        for s in &self.rack_stats {
-            total.intervals += s.intervals;
-            total.events_popped += s.events_popped;
-            total.session_edge_intervals += s.session_edge_intervals;
-            total.fault_ticks += s.fault_ticks;
-            total.planner_epochs += s.planner_epochs;
-            total.planner_full_rounds += s.planner_full_rounds;
-            total.planner_replays += s.planner_replays;
-            total.fetch_full += s.fetch_full;
-            total.fetch_skipped += s.fetch_skipped;
-            total.recomputed_host_intervals += s.recomputed_host_intervals;
-            total.cached_host_intervals += s.cached_host_intervals;
-            total.skipped_joules += s.skipped_joules;
-            total.computed_joules += s.computed_joules;
-        }
-        total
-    }
-
     /// Total SLA violations (transitions slower than `threshold_secs`)
     /// across all racks.
     pub fn sla_violations(&mut self, threshold_secs: f64) -> u64 {
@@ -394,8 +310,8 @@ pub fn run_datacenter_day_with(
                 let donor_cap = donor.sim.cons_capacity().saturating_sub(grant.quantum);
                 let borrower_cap = borrower.sim.cons_capacity() + grant.quantum;
                 let cons = u64::from(borrower.sim.cons_host_count());
-                fleet[grant.donor as usize].apply_capacity(donor_cap, epoch_end);
-                fleet[grant.borrower as usize].apply_capacity(borrower_cap, epoch_end);
+                fleet[grant.donor as usize].sim.set_cons_capacity(donor_cap);
+                fleet[grant.borrower as usize].sim.set_cons_capacity(borrower_cap);
                 rebalance_grants += 1;
                 rebalance_bytes =
                     rebalance_bytes.saturating_add(grant.quantum.as_bytes().saturating_mul(cons));
@@ -408,13 +324,11 @@ pub fn run_datacenter_day_with(
     // sinks, which byte-identity across job counts requires to happen
     // in a deterministic order.
     let mut rack_reports = Vec::with_capacity(fleet.len());
-    let mut rack_stats = Vec::with_capacity(fleet.len());
     let mut rack_wall_secs = Vec::with_capacity(fleet.len());
     let mut rack_phases = Vec::with_capacity(fleet.len());
     for rack in fleet {
-        let (report, stats, phases, wall) = rack.finish(clock);
+        let (report, phases, wall) = rack.finish(clock);
         rack_reports.push(report);
-        rack_stats.push(stats);
         rack_phases.push(phases);
         rack_wall_secs.push(wall);
     }
@@ -434,7 +348,6 @@ pub fn run_datacenter_day_with(
         rebalance_grants,
         rebalance_bytes,
         rack_reports,
-        rack_stats,
         rack_wall_secs,
         rack_phases,
     }
@@ -560,16 +473,11 @@ mod tests {
         }
     }
 
-    /// The smoke-scale scorecard, golden. Engine and fidelity are pinned
-    /// (the equivalence batteries make them value-neutral, but the CI
-    /// matrices set both via env) — so these exact bytes hold on every
-    /// leg, and any drift in the planner, the rebalance thresholds, or
-    /// the energy model shows up as a diff here.
+    /// The smoke-scale scorecard, golden: any drift in the planner, the
+    /// rebalance thresholds, or the energy model shows up as a diff here.
     #[test]
     fn smoke_scorecard_is_golden() {
-        let mut dc = smoke_dc(6, PlannerScope::Global);
-        dc.base.engine = EngineMode::Interval;
-        dc.base.fidelity = oasis_sim::ModelFidelity::Batched;
+        let dc = smoke_dc(6, PlannerScope::Global);
         let rows = planner_scorecard(&WorkerPool::new(2), &dc, &|| 0.0);
         let lines: Vec<String> = rows.iter().map(ScorecardRow::table_line).collect();
         assert_eq!(

@@ -43,7 +43,7 @@ use crate::config::ClusterConfig;
 use crate::results::{DecisionCounts, MigrationCounts, SimReport, VmPlacement};
 
 /// Interval length in seconds (5-minute trace intervals).
-pub(crate) const INTERVAL_SECS: f64 = 300.0;
+const INTERVAL_SECS: f64 = 300.0;
 
 /// Samples an idle working set for a VM of the given class.
 ///
@@ -105,19 +105,19 @@ const DIRTY_CAP: ByteSize = ByteSize::mib(512);
 const WSS_GROWTH_WINDOW: SimDuration = SimDuration::from_mins(60);
 
 #[derive(Clone, Debug)]
-pub(crate) struct SimHost {
-    pub(crate) id: HostId,
-    pub(crate) role: HostRole,
-    pub(crate) powered: bool,
+struct SimHost {
+    id: HostId,
+    role: HostRole,
+    powered: bool,
     /// Per-interval timeline accumulator.
-    pub(crate) awake_secs: f64,
-    pub(crate) last_on_offset: f64,
-    pub(crate) suspends: u32,
-    pub(crate) resumes: u32,
+    awake_secs: f64,
+    last_on_offset: f64,
+    suspends: u32,
+    resumes: u32,
 }
 
 impl SimHost {
-    pub(crate) fn begin_interval(&mut self) {
+    fn begin_interval(&mut self) {
         self.awake_secs = 0.0;
         self.last_on_offset = 0.0;
         self.suspends = 0;
@@ -156,19 +156,19 @@ impl SimHost {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) struct SimVm {
-    pub(crate) id: VmId,
-    pub(crate) home: HostId,
-    pub(crate) location: HostId,
-    pub(crate) class: WorkloadClass,
-    pub(crate) state: VmState,
-    pub(crate) partial: bool,
-    pub(crate) demand: ByteSize,
-    pub(crate) allocation: ByteSize,
+struct SimVm {
+    id: VmId,
+    home: HostId,
+    location: HostId,
+    class: WorkloadClass,
+    state: VmState,
+    partial: bool,
+    demand: ByteSize,
+    allocation: ByteSize,
     /// Expected working set if consolidated (planner estimate).
-    pub(crate) wss_estimate: ByteSize,
+    wss_estimate: ByteSize,
     /// Growth ceiling for the current consolidation epoch.
-    pub(crate) wss_cap: ByteSize,
+    wss_cap: ByteSize,
     /// When the current consolidation epoch began.
     consolidated_since: Option<SimTime>,
     /// Whether a full memory image was ever uploaded (differential
@@ -186,19 +186,19 @@ pub(crate) struct SimVm {
 /// the old full scans produced — byte-identical results are part of the
 /// contract, not an accident.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Residency {
+struct Residency {
     /// Indices into `ClusterSim::vms` of the VMs resident on this host,
     /// ascending.
-    pub(crate) vms: Vec<usize>,
+    vms: Vec<usize>,
     /// Sum of the residents' memory demand.
-    pub(crate) demand: ByteSize,
+    demand: ByteSize,
     /// Number of residents whose state is active.
-    pub(crate) active: usize,
+    active: usize,
     /// Indices of the active residents, ascending — the subsequence of
     /// `vms` the attribution split visits, kept so that split never
     /// walks a host's (possibly hundreds of) idle residents to find the
     /// handful of active ones.
-    pub(crate) active_vms: Vec<usize>,
+    active_vms: Vec<usize>,
 }
 
 impl Residency {
@@ -288,98 +288,78 @@ impl DayPhases {
 /// The trace-driven cluster simulator.
 pub struct ClusterSim {
     pub(crate) cfg: ClusterConfig,
-    pub(crate) rng: SimRng,
-    pub(crate) manager: ClusterManager,
-    pub(crate) hosts: Vec<SimHost>,
-    pub(crate) vms: Vec<SimVm>,
+    rng: SimRng,
+    manager: ClusterManager,
+    hosts: Vec<SimHost>,
+    vms: Vec<SimVm>,
     /// Incrementally maintained planning snapshot. Mirrors `hosts`/`vms`
     /// exactly (same order, same values) and is updated at the same
     /// mutation funnels as the residency indices, so handing the manager
     /// `&self.view` is byte-identical to rebuilding a [`ClusterView`]
     /// from scratch — without the `O(hosts + VMs)` rebuild per
     /// activation that used to dominate paper-scale runs.
-    pub(crate) view: ClusterView,
+    view: ClusterView,
     /// Per-host residency index, parallel to `hosts`.
-    pub(crate) residency: Vec<Residency>,
+    residency: Vec<Residency>,
     /// Per-host count of partial VMs homed there but located elsewhere
     /// (their memory server must stay powered while the host sleeps).
-    pub(crate) home_partials: Vec<u32>,
-    pub(crate) users: Vec<UserDay>,
-    pub(crate) wss_dist: IdleWssDistribution,
-    pub(crate) traffic: TrafficAccountant,
-    pub(crate) delays: Cdf,
-    pub(crate) ratio: Cdf,
-    pub(crate) series_active: TimeSeries,
-    pub(crate) series_powered: TimeSeries,
-    pub(crate) total_joules: f64,
-    pub(crate) baseline_joules: f64,
-    pub(crate) counts: MigrationCounts,
+    home_partials: Vec<u32>,
+    users: Vec<UserDay>,
+    wss_dist: IdleWssDistribution,
+    traffic: TrafficAccountant,
+    delays: Cdf,
+    ratio: Cdf,
+    series_active: TimeSeries,
+    series_powered: TimeSeries,
+    total_joules: f64,
+    baseline_joules: f64,
+    counts: MigrationCounts,
     /// Reintegration queue length per home host within the interval.
-    pub(crate) reintegration_queue: std::collections::BTreeMap<HostId, u32>,
+    reintegration_queue: std::collections::BTreeMap<HostId, u32>,
     /// Concurrent promote-in-place resumes per consolidation host within
     /// the interval (resume storms share the destination NIC).
-    pub(crate) promote_queue: std::collections::BTreeMap<HostId, u32>,
+    promote_queue: std::collections::BTreeMap<HostId, u32>,
     /// Per-host instant until which the vacate cooldown applies.
-    pub(crate) cooldown_until: std::collections::BTreeMap<HostId, SimTime>,
+    cooldown_until: std::collections::BTreeMap<HostId, SimTime>,
     /// RNG for recovery backoff jitter. Seeded independently of the main
     /// stream (never forked from it) so that fault recovery draws cannot
     /// perturb trace sampling or placement — a zero-fault schedule leaves
     /// the run byte-identical.
-    pub(crate) recovery_rng: SimRng,
+    recovery_rng: SimRng,
     /// Homes whose memory server is currently crashed.
-    pub(crate) ms_down: std::collections::BTreeSet<HostId>,
+    ms_down: std::collections::BTreeSet<HostId>,
     /// Network latency multiplier for the current interval (1.0 = clean).
-    pub(crate) link_factor: f64,
-    pub(crate) fault_counts: FaultCounts,
-    pub(crate) recovery_times: Cdf,
-    pub(crate) energy_series: TimeSeries,
+    link_factor: f64,
+    fault_counts: FaultCounts,
+    recovery_times: Cdf,
+    energy_series: TimeSeries,
     /// Per-host integer-millijoule energy components, parallel to
     /// `hosts`. Accumulated alongside the `f64` total so the report can
     /// decompose energy without perturbing the existing accounting.
-    pub(crate) host_energy: Vec<HostEnergy>,
+    host_energy: Vec<HostEnergy>,
     /// Per-VM millijoule share of the hosts' active components, parallel
     /// to `vms` (demand-weighted split per interval).
-    pub(crate) vm_energy_mj: Vec<u64>,
+    vm_energy_mj: Vec<u64>,
     /// Per-host "mutated this interval" flags for the quiescence ledger,
     /// parallel to `hosts`; cleared at every interval boundary.
-    pub(crate) dirty_hosts: Vec<bool>,
+    dirty_hosts: Vec<bool>,
     /// Per-VM mutation flags, parallel to `vms`.
-    pub(crate) dirty_vms: Vec<bool>,
+    dirty_vms: Vec<bool>,
     /// Count of set flags in `dirty_vms`, so the per-interval quiescence
     /// tally never rescans the flag vector.
-    pub(crate) dirty_vm_count: usize,
-    pub(crate) quiescence: QuiescenceLedger,
-    pub(crate) decisions: DecisionCounts,
+    dirty_vm_count: usize,
+    quiescence: QuiescenceLedger,
+    decisions: DecisionCounts,
     pub(crate) telemetry: Telemetry,
-    /// Monotone counter bumped by every mutation that changes the
-    /// planning view. The event engine compares it across planning
-    /// rounds to prove the snapshot a round planned over is still
-    /// current — one of the gates for replaying an empty round instead
-    /// of re-running the placement search.
-    pub(crate) view_version: u64,
     /// Indices of partial VMs, ascending — exactly the set (and visit
     /// order) a full scan of `vms` filtered on `partial` would produce,
     /// maintained at the [`Self::set_vm_partial`] funnel so the fetch
     /// phase walks `O(partials)` instead of `O(VMs)`.
-    pub(crate) partials: Vec<usize>,
-    /// Per-host "energy inputs changed this interval" flags, parallel to
-    /// `hosts`. A superset of `dirty_hosts`: also set when a resident's
-    /// activity state or demand changes, or the served-partials count
-    /// moves — anything that alters the host's interval energy. The
-    /// event engine clears them each interval and recomputes only
-    /// flagged hosts; the interval engine maintains but never reads
-    /// them, so both engines observe identical state.
-    pub(crate) energy_touched: Vec<bool>,
+    partials: Vec<usize>,
     /// Reusable per-host scratch for the planner's serialized-work
     /// offsets, kept across intervals to avoid a fresh allocation per
     /// round. Always cleared on entry to `plan_and_execute`.
     busy_scratch: Vec<f64>,
-    /// Monotone counter bumped only by mutations the fetch phase can
-    /// observe: VM location moves, partial flips and demand changes. A
-    /// strict subset of `view_version`'s triggers — state-only edges
-    /// bump the view but cannot change what `grow_working_sets` reads,
-    /// so the event engine gates its fetch skip on this counter.
-    pub(crate) placement_version: u64,
     /// Per-home indices of VMs consolidated away from that home,
     /// ascending — exactly the set (and visit order) the old full scan
     /// of `vms` filtered on `home == h && location != h` produced.
@@ -435,28 +415,6 @@ fn class_idx(class: WorkloadClass) -> usize {
         WorkloadClass::Database => 2,
         WorkloadClass::ClusterNode => 3,
     }
-}
-
-/// What the fetch pass left behind, steering the event engine's growth
-/// wake: whether any partial VM still has headroom to grow into, and
-/// whether any consolidation host rides over effective capacity.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FetchOutcome {
-    pub(crate) growth_pending: bool,
-    pub(crate) overcommit: bool,
-}
-
-/// One host's interval energy decomposed into the accounting
-/// components, as produced by [`ClusterSim::host_interval_energy`].
-/// The event engine caches one of these per host so an unchanged host's
-/// interval can be charged without recomputing the decomposition.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct HostSpanEnergy {
-    pub(crate) joules: f64,
-    pub(crate) active_mj: u64,
-    pub(crate) idle_mj: u64,
-    pub(crate) transition_mj: u64,
-    pub(crate) memserver_mj: u64,
 }
 
 impl ClusterSim {
@@ -640,7 +598,6 @@ impl ClusterSim {
         let vm_energy_mj = vec![0u64; vms.len()];
         let dirty_hosts = vec![false; hosts.len()];
         let dirty_vms = vec![false; vms.len()];
-        let energy_touched = vec![false; hosts.len()];
         let away_from_home = vec![Vec::new(); hosts.len()];
         let cons_hosts: Vec<HostId> =
             hosts.iter().filter(|h| h.role == HostRole::Consolidation).map(|h| h.id).collect();
@@ -686,11 +643,8 @@ impl ClusterSim {
             quiescence: QuiescenceLedger::default(),
             decisions: DecisionCounts::default(),
             telemetry: Telemetry::disabled(),
-            view_version: 0,
             partials: Vec::new(),
-            energy_touched,
             busy_scratch: Vec::new(),
-            placement_version: 0,
             away_from_home,
             cons_hosts,
             cons_capacity: capacity,
@@ -719,8 +673,6 @@ impl ClusterSim {
         }
         self.hosts[idx].set_power(offset_secs, on);
         self.dirty_hosts[idx] = true;
-        self.energy_touched[idx] = true;
-        self.view_version += 1;
         self.view.hosts[idx].powered = on;
         let host = self.hosts[idx].id.0;
         self.telemetry.emit(if on {
@@ -1040,7 +992,7 @@ impl ClusterSim {
     /// interval's fault onsets, edge-detects memory-server crash windows
     /// (recovering orphaned partial replicas at crash onset), and samples
     /// the link-degradation factor the whole interval runs under.
-    pub(crate) fn apply_faults(&mut self, now: SimTime) {
+    fn apply_faults(&mut self, now: SimTime) {
         if self.cfg.faults.is_empty() {
             return;
         }
@@ -1088,8 +1040,8 @@ impl ClusterSim {
     /// the SLA CDF. Memory-server state survives the restart (§4.2's
     /// servers are independent daemons), so partial replicas need no
     /// recovery. Reboots are applied in the schedule's canonical
-    /// `(start, host)` order on both engines.
-    pub(crate) fn apply_reboots(&mut self, now: SimTime) {
+    /// `(start, host)` order.
+    fn apply_reboots(&mut self, now: SimTime) {
         if self.cfg.reboots.is_empty() {
             return;
         }
@@ -1114,7 +1066,6 @@ impl ClusterSim {
                 // Asleep: boot, patch, and go straight back to sleep.
                 self.hosts[idx].temporary_episode(downtime);
                 self.dirty_hosts[idx] = true;
-                self.energy_touched[idx] = true;
                 self.telemetry.emit(Event::HostResumed { host: r.host });
                 self.telemetry.emit(Event::HostSuspended { host: r.host });
             }
@@ -1133,10 +1084,6 @@ impl ClusterSim {
         self.mark_vm_dirty(vi);
         self.dirty_hosts[src.0 as usize] = true;
         self.dirty_hosts[dest.0 as usize] = true;
-        self.energy_touched[src.0 as usize] = true;
-        self.energy_touched[dest.0 as usize] = true;
-        self.view_version += 1;
-        self.placement_version += 1;
         let (demand, active, partial, home) = {
             let v = &self.vms[vi];
             (v.demand, v.state.is_active(), v.partial, v.home)
@@ -1179,10 +1126,8 @@ impl ClusterSim {
             // elsewhere; track entering/leaving the home host.
             if src == home {
                 self.home_partials[home.0 as usize] += 1;
-                self.energy_touched[home.0 as usize] = true;
             } else if dest == home {
                 self.home_partials[home.0 as usize] -= 1;
-                self.energy_touched[home.0 as usize] = true;
             }
         }
         // Keep the away-from-home index in step: a VM leaving its home
@@ -1211,9 +1156,6 @@ impl ClusterSim {
         let host = self.vms[vi].location.0 as usize;
         if self.vms[vi].demand != demand {
             self.mark_vm_dirty(vi);
-            self.energy_touched[host] = true;
-            self.view_version += 1;
-            self.placement_version += 1;
         }
         let r = &mut self.residency[host];
         r.demand = (r.demand + demand) - self.vms[vi].demand;
@@ -1234,8 +1176,6 @@ impl ClusterSim {
             return;
         }
         self.mark_vm_dirty(vi);
-        self.view_version += 1;
-        self.placement_version += 1;
         // An idle VM on a consolidation host swaps between "full idle"
         // (exchange candidate) and partial as the flag flips.
         if !self.vms[vi].state.is_active()
@@ -1256,7 +1196,6 @@ impl ClusterSim {
             } else {
                 *slot -= 1;
             }
-            self.energy_touched[home] = true;
         }
         match self.partials.binary_search(&vi) {
             Ok(pos) if !partial => {
@@ -1276,11 +1215,9 @@ impl ClusterSim {
         let old = self.vms[vi].state;
         if old != state {
             self.mark_vm_dirty(vi);
-            self.view_version += 1;
         }
         if old.is_active() != state.is_active() {
             let host = self.vms[vi].location.0 as usize;
-            self.energy_touched[host] = true;
             // A full VM on a consolidation host joins the exchange
             // candidate set when it idles and leaves it on activation.
             if !self.vms[vi].partial && self.hosts[host].role == HostRole::Consolidation {
@@ -1335,7 +1272,7 @@ impl ClusterSim {
     }
 
     /// Total memory demand resident on `host` (cached sum).
-    pub(crate) fn demand_on(&self, host: HostId) -> ByteSize {
+    fn demand_on(&self, host: HostId) -> ByteSize {
         self.residency[host.0 as usize].demand
     }
 
@@ -1439,7 +1376,7 @@ impl ClusterSim {
     /// to `now`. Everything else in the view is kept exact by the
     /// mutation funnels; this is the only field that changes with the
     /// clock alone.
-    pub(crate) fn refresh_vacatable(&mut self, now: SimTime) {
+    fn refresh_vacatable(&mut self, now: SimTime) {
         if self.cooldown_until.is_empty() {
             // `vacatable` starts true and only cooldown entries ever
             // clear it; with no entries there is nothing stale.
@@ -1470,12 +1407,10 @@ impl ClusterSim {
 
     /// Applies an epoch planner grant: moves the consolidation hosts'
     /// effective capacity to `per_host` and mirrors it into the
-    /// maintained planning view. Bumps the view version — a capacity
-    /// change invalidates any replayable empty planning round — so the
-    /// event engine re-plans from the widened (or narrowed) view. Only
-    /// the datacenter shard driver calls this, between epoch barriers;
-    /// a run that never calls it is byte-identical to one built without
-    /// the knob.
+    /// maintained planning view, so the next planning round and fetch
+    /// pass see the widened (or narrowed) capacity. Only the datacenter
+    /// shard tier calls this, between epoch barriers; a run that never
+    /// calls it is byte-identical to one built without the knob.
     pub(crate) fn set_cons_capacity(&mut self, per_host: ByteSize) {
         if per_host == self.cons_capacity {
             return;
@@ -1484,7 +1419,6 @@ impl ClusterSim {
         for &h in &self.cons_hosts {
             self.view.hosts[h.0 as usize].capacity = per_host;
         }
-        self.view_version += 1;
     }
 
     /// Rebuilds a snapshot from scratch. Test-only since the maintained
@@ -1601,19 +1535,14 @@ impl ClusterSim {
             if desired == self.vms[vi].state {
                 continue;
             }
-            self.apply_transition(vi, interval, now);
+            self.apply_transition(vi, desired, now);
         }
     }
 
-    /// Applies one VM's session edge at interval `interval` — the per-VM
-    /// body of [`Self::apply_trace`], shared with the event engine's
-    /// precomputed transition lists. The caller guarantees the VM's
-    /// state actually differs from the trace at `interval`.
-    pub(crate) fn apply_transition(&mut self, vi: usize, interval: usize, now: SimTime) {
-        let desired =
-            if self.users[vi].is_active(interval) { VmState::Active } else { VmState::Idle };
-        let current = self.vms[vi].state;
-        debug_assert_ne!(desired, current, "vm {vi} has no edge at interval {interval}");
+    /// Applies one VM's session edge: the per-VM body of
+    /// [`Self::apply_trace`], called only when `desired` differs from
+    /// the VM's current state.
+    fn apply_transition(&mut self, vi: usize, desired: VmState, now: SimTime) {
         if desired == VmState::Idle {
             self.set_vm_state(vi, VmState::Idle);
             return;
@@ -1737,7 +1666,7 @@ impl ClusterSim {
     }
 
     /// Runs one manager planning round and executes the plan.
-    pub(crate) fn plan_and_execute(&mut self, now: SimTime) {
+    fn plan_and_execute(&mut self, now: SimTime) {
         self.refresh_vacatable(now);
         let handoff =
             ResidencyHandoff { residency: &self.residency, exchange_ready: &self.exchange_ready };
@@ -1953,7 +1882,6 @@ impl ClusterSim {
                         }
                         self.hosts[hi].temporary_episode(episode + extra);
                         self.dirty_hosts[hi] = true;
-                        self.energy_touched[hi] = true;
                         self.telemetry.emit(Event::HostResumed { host: home.0 });
                         self.telemetry.emit(Event::HostSuspended { host: home.0 });
                     }
@@ -2015,14 +1943,7 @@ impl ClusterSim {
     }
 
     /// Grows consolidated working sets and handles capacity exhaustion.
-    ///
-    /// The returned [`FetchOutcome`] describes the post-pass world. Its
-    /// `growth_pending` bit is accumulated during the growth loop, i.e.
-    /// before any capacity shed — a shed VM returning home can only
-    /// leave the bit conservatively high, which at worst arms one
-    /// growth wake whose fetch pass then no-ops.
-    pub(crate) fn grow_working_sets(&mut self, now: SimTime) -> FetchOutcome {
-        let mut outcome = FetchOutcome::default();
+    fn grow_working_sets(&mut self, now: SimTime) {
         let mut fetched = ByteSize::ZERO;
         // The maintained partial index lists exactly the VMs a full scan
         // filtered on `partial` would visit, in the same ascending
@@ -2040,8 +1961,6 @@ impl ClusterSim {
                 self.set_vm_demand(vi, self.vms[vi].demand + growth);
                 fetched += growth.mul_f64(COMPRESS_RATIO);
             }
-            outcome.growth_pending |=
-                !growth_per_interval.min(headroom.saturating_sub(growth)).is_zero();
         }
         if !fetched.is_zero() {
             self.traffic.record(TrafficClass::DemandFetch, fetched);
@@ -2106,12 +2025,10 @@ impl ClusterSim {
                 }
             }
         }
-        outcome.overcommit = self.cons_hosts.iter().any(|&h| self.demand_on(h) > capacity);
-        outcome
     }
 
     /// Puts hosts drained outside planning (ReturnHome) to sleep.
-    pub(crate) fn sleep_empty_hosts(&mut self) {
+    fn sleep_empty_hosts(&mut self) {
         for h in 0..self.hosts.len() {
             if self.hosts[h].powered && self.residency[h].vms.is_empty() {
                 self.set_host_power(h, INTERVAL_SECS * 0.5, false);
@@ -2120,7 +2037,7 @@ impl ClusterSim {
     }
 
     /// Records the per-interval series and distribution samples.
-    pub(crate) fn record(&mut self, now: SimTime) {
+    fn record(&mut self, now: SimTime) {
         // Summing the index-maintained per-host counts equals a recount
         // of the VM vector (locked by `verify_indices`), without the
         // O(VMs) scan per interval.
@@ -2140,16 +2057,62 @@ impl ClusterSim {
 
     /// Integrates this interval's energy and the §5.3 baseline, and
     /// accumulates the integer-millijoule attribution ledger plus the
-    /// per-interval quiescence counts alongside.
+    /// per-interval quiescence counts alongside. Closes every host's
+    /// power timeline for the interval (`end_interval`).
     // oasis-lint: boundary(float-energy, "fixed per-host fold order makes the f64 sums reproducible; the attribution ledger keeps the integer-mj truth")
     fn account_energy(&mut self, interval: usize) {
+        fn mj(joules: f64) -> u64 {
+            (joules * 1_000.0).round().max(0.0) as u64
+        }
+        let ms_watts = self.cfg.memserver.active_watts;
         for h in 0..self.hosts.len() {
-            let e = self.host_interval_energy(h);
-            self.apply_host_energy(h, &e);
-            self.attribute_active_mj(h, e.active_mj, None);
-            // Quiescence: a host whose placement/power state nothing
-            // touched this interval (and that never transitioned) could
-            // have been skipped by an event-driven stepper.
+            let p = self.cfg.host_profile_of(self.hosts[h].id.0);
+            let id = self.hosts[h].id;
+            let role = self.hosts[h].role;
+            let active = self.active_on(id);
+            let awake = self.hosts[h].end_interval();
+            let suspends = f64::from(self.hosts[h].suspends);
+            let resumes = f64::from(self.hosts[h].resumes);
+            let transit =
+                suspends * p.suspend_time.as_secs_f64() + resumes * p.resume_time.as_secs_f64();
+            let asleep = (INTERVAL_SECS - awake - transit).max(0.0);
+            // Sleeping consolidation hosts are spare capacity, not part
+            // of the active deployment: their S3 draw is not charged
+            // (otherwise Figure 8 would fall linearly with the host count
+            // instead of leveling off, as adding unused spares would
+            // "cost" energy).
+            let sleep_draw = if role == HostRole::Compute { p.sleep_watts } else { 0.0 };
+            let mut joules = awake * p.watts(PowerState::Powered, active)
+                + suspends * p.suspend_time.as_secs_f64() * p.suspend_watts
+                + resumes * p.resume_time.as_secs_f64() * p.resume_watts
+                + asleep * sleep_draw;
+            // A sleeping home host keeps its memory server powered while
+            // it has partial replicas to serve (§5.1); a host vacated
+            // purely by full migrations has nothing to serve. The count
+            // is index-maintained — no scan of the VM vector.
+            let serves_partials = role == HostRole::Compute && self.home_partials[h] > 0;
+            if serves_partials {
+                joules += asleep * ms_watts;
+            }
+            self.total_joules += joules;
+
+            // Attribution ledger: the same interval decomposed into
+            // active (draw above the zero-VM floor), idle (powered floor
+            // + S3 draw), transition and memory-server components, each
+            // rounded to integer millijoules per interval.
+            let idle_floor = p.watts(PowerState::Powered, 0);
+            let active_mj = mj(awake * (p.watts(PowerState::Powered, active) - idle_floor));
+            let acc = &mut self.host_energy[h];
+            acc.active_mj += active_mj;
+            acc.idle_mj += mj(awake * idle_floor + asleep * sleep_draw);
+            acc.transition_mj += mj(suspends * p.suspend_time.as_secs_f64() * p.suspend_watts
+                + resumes * p.resume_time.as_secs_f64() * p.resume_watts);
+            if serves_partials {
+                acc.memserver_mj += mj(asleep * ms_watts);
+            }
+            self.attribute_active_mj(h, active_mj);
+            // Quiescence: nothing touched the host's placement or power
+            // state this interval and it never transitioned.
             if !self.dirty_hosts[h] && self.hosts[h].suspends == 0 && self.hosts[h].resumes == 0 {
                 self.quiescence.host_quiescent += 1;
             }
@@ -2170,88 +2133,11 @@ impl ClusterSim {
         }
     }
 
-    /// Computes one host's interval energy decomposition — the pure
-    /// per-host math of [`Self::account_energy`], shared verbatim with
-    /// the event engine's cached accounting path so both engines charge
-    /// bit-identical joules. Calling it closes the host's power timeline
-    /// for the interval (`end_interval`).
-    // oasis-lint: boundary(float-energy, "same fixed expression order as the interval fold; the integer-mj components carry the exact truth")
-    pub(crate) fn host_interval_energy(&mut self, h: usize) -> HostSpanEnergy {
-        let p = self.cfg.host_profile_of(self.hosts[h].id.0);
-        let ms_watts = self.cfg.memserver.active_watts;
-        fn mj(joules: f64) -> u64 {
-            (joules * 1_000.0).round().max(0.0) as u64
-        }
-        let id = self.hosts[h].id;
-        let role = self.hosts[h].role;
-        let active = self.active_on(id);
-        let awake = self.hosts[h].end_interval();
-        let suspends = f64::from(self.hosts[h].suspends);
-        let resumes = f64::from(self.hosts[h].resumes);
-        let transit =
-            suspends * p.suspend_time.as_secs_f64() + resumes * p.resume_time.as_secs_f64();
-        let asleep = (INTERVAL_SECS - awake - transit).max(0.0);
-        // Sleeping consolidation hosts are spare capacity, not part
-        // of the active deployment: their S3 draw is not charged
-        // (otherwise Figure 8 would fall linearly with the host count
-        // instead of leveling off, as adding unused spares would
-        // "cost" energy).
-        let sleep_draw = if role == HostRole::Compute { p.sleep_watts } else { 0.0 };
-        let mut joules = awake * p.watts(PowerState::Powered, active)
-            + suspends * p.suspend_time.as_secs_f64() * p.suspend_watts
-            + resumes * p.resume_time.as_secs_f64() * p.resume_watts
-            + asleep * sleep_draw;
-        // A sleeping home host keeps its memory server powered while
-        // it has partial replicas to serve (§5.1); a host vacated
-        // purely by full migrations has nothing to serve. The count
-        // is index-maintained — no scan of the VM vector.
-        let serves_partials = self.home_partials[h] > 0;
-        if role == HostRole::Compute && serves_partials {
-            joules += asleep * ms_watts;
-        }
-
-        // Attribution ledger: the same interval decomposed into
-        // active (draw above the zero-VM floor), idle (powered floor
-        // + S3 draw), transition and memory-server components, each
-        // rounded to integer millijoules per interval.
-        let idle_floor = p.watts(PowerState::Powered, 0);
-        let active_mj = mj(awake * (p.watts(PowerState::Powered, active) - idle_floor));
-        let idle_mj = mj(awake * idle_floor + asleep * sleep_draw);
-        let transition_mj = mj(suspends * p.suspend_time.as_secs_f64() * p.suspend_watts
-            + resumes * p.resume_time.as_secs_f64() * p.resume_watts);
-        let memserver_mj =
-            if role == HostRole::Compute && serves_partials { mj(asleep * ms_watts) } else { 0 };
-        HostSpanEnergy { joules, active_mj, idle_mj, transition_mj, memserver_mj }
-    }
-
-    /// Folds one host's interval decomposition into the running totals:
-    /// the `f64` joule integral and the integer-millijoule component
-    /// ledger. Both engines fold hosts in ascending index order, so the
-    /// accumulators evolve bit-identically.
-    // oasis-lint: boundary(float-energy, "both engines fold hosts in ascending index order, so the f64 sum is reproducible; the integer-mj ledger carries the exact truth")
-    pub(crate) fn apply_host_energy(&mut self, h: usize, e: &HostSpanEnergy) {
-        self.total_joules += e.joules;
-        let acc = &mut self.host_energy[h];
-        acc.active_mj += e.active_mj;
-        acc.idle_mj += e.idle_mj;
-        acc.transition_mj += e.transition_mj;
-        acc.memserver_mj += e.memserver_mj;
-    }
-
     /// Splits a host's active millijoules over its active residents —
     /// demand-weighted, with the rounding remainder assigned to the
     /// lowest-indexed one so the shares always sum bit-exactly to the
     /// host's active millijoules — accumulating into the per-VM ledger.
-    /// When `shares_out` is given, the applied `(vm index, millijoule)`
-    /// pairs are also recorded (remainder folded into the first entry):
-    /// the event engine caches them to replay unchanged hosts without
-    /// recomputing the split.
-    pub(crate) fn attribute_active_mj(
-        &mut self,
-        h: usize,
-        active_mj: u64,
-        mut shares_out: Option<&mut Vec<(usize, u64)>>,
-    ) {
+    fn attribute_active_mj(&mut self, h: usize, active_mj: u64) {
         if active_mj == 0 {
             return;
         }
@@ -2277,30 +2163,8 @@ impl ClusterSim {
             };
             self.vm_energy_mj[vi] += share;
             assigned += share;
-            if let Some(buf) = shares_out.as_mut() {
-                buf.push((vi, share));
-            }
         }
-        let remainder = active_mj - assigned;
-        self.vm_energy_mj[first] += remainder;
-        if remainder > 0 {
-            if let Some(buf) = shares_out {
-                // The first entry is the lowest-indexed active resident.
-                buf[0].1 += remainder;
-            }
-        }
-    }
-
-    /// The §5.3 baseline charge for one interval from precomputed
-    /// per-home active-user counts (ascending home order — the same
-    /// fold order, and therefore the same bits, as the trace scan in
-    /// [`Self::account_energy`]).
-    // oasis-lint: boundary(float-energy, "identical per-home add order as the interval engine's baseline scan")
-    pub(crate) fn account_baseline_counts(&mut self, counts: &[u32]) {
-        for (home, &active) in counts.iter().enumerate() {
-            let p = self.cfg.host_profile_of(home as u32);
-            self.baseline_joules += INTERVAL_SECS * p.watts(PowerState::Powered, active as usize);
-        }
+        self.vm_energy_mj[first] += active_mj - assigned;
     }
 
     /// Advances the simulator through interval `interval` (one 5-minute
@@ -2371,10 +2235,6 @@ impl ClusterSim {
     /// The clock never feeds back into the simulation, so a timed run is
     /// byte-identical to an untimed one.
     pub fn run_day_timed(mut self, clock: &dyn Fn() -> f64, phases: &mut DayPhases) -> SimReport {
-        if self.cfg.engine == oasis_sim::EngineMode::EventDriven {
-            let mut stats = crate::engine::EngineStats::default();
-            return self.run_day_event_timed(clock, phases, &mut stats);
-        }
         let day_scope = self.telemetry.profile("run_day");
         let mut next_plan = SimTime::ZERO;
         for interval in 0..INTERVALS_PER_DAY {
@@ -2384,32 +2244,9 @@ impl ClusterSim {
         self.finish_report()
     }
 
-    /// [`Self::run_day_timed`], additionally returning the engine's
-    /// skip-ahead accounting. Under the interval engine the stats stay
-    /// zeroed — every span is computed, nothing is skipped. The report
-    /// itself never carries the stats, so it stays byte-identical across
-    /// engines.
-    pub fn run_day_instrumented(
-        mut self,
-        clock: &dyn Fn() -> f64,
-        phases: &mut DayPhases,
-    ) -> (SimReport, crate::engine::EngineStats) {
-        let mut stats = crate::engine::EngineStats::default();
-        if self.cfg.engine == oasis_sim::EngineMode::EventDriven {
-            let report = self.run_day_event_timed(clock, phases, &mut stats);
-            return (report, stats);
-        }
-        let day_scope = self.telemetry.profile("run_day");
-        let mut next_plan = SimTime::ZERO;
-        for interval in 0..INTERVALS_PER_DAY {
-            self.step_interval(interval, &mut next_plan, clock, phases);
-        }
-        day_scope.end();
-        (self.finish_report(), stats)
-    }
-
-    /// Assembles the [`SimReport`] after the day loop — shared by both
-    /// engines, so the report layout cannot drift between them.
+    /// Assembles the [`SimReport`] after the day loop — shared by
+    /// [`Self::run_day_timed`] and the shard tier, so the report
+    /// layout cannot drift between them.
     pub(crate) fn finish_report(self) -> SimReport {
         let baseline_kwh = self.baseline_joules / oasis_power::meter::JOULES_PER_KWH;
         let total_kwh = self.total_joules / oasis_power::meter::JOULES_PER_KWH;

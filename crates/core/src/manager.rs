@@ -13,9 +13,7 @@ use oasis_vm::{HostId, VmId};
 
 use oasis_telemetry::{DecisionClass, Event};
 
-use crate::placement::{
-    on_partial_activated_with_stats, plan_consolidation_traced, PlanStats, PlannerConfig,
-};
+use crate::placement::{on_partial_activated_with_stats, plan_consolidation_traced, PlannerConfig};
 use crate::policy::{ActivationDecision, PlannedAction, PolicyKind};
 use crate::view::{ClusterView, HostRole, ResidencyIndex};
 
@@ -64,10 +62,6 @@ pub struct ClusterManager {
     last_plan_decision_ids: Vec<u64>,
     /// Decision id of the most recent activation handling.
     last_decision_id: u64,
-    /// Stats of the most recent planning round, kept so the event engine
-    /// can replay an unchanged round's telemetry (see
-    /// [`Self::replay_empty_round`]).
-    last_plan_stats: PlanStats,
     /// Cached `planned_actions_total{policy=…}` handle. The registry
     /// hands out `Arc`-backed instruments precisely so hot paths fetch
     /// once; re-fetching per round costs label allocation plus a locked
@@ -90,7 +84,6 @@ impl ClusterManager {
             telemetry: Telemetry::disabled(),
             last_plan_decision_ids: Vec::new(),
             last_decision_id: 0,
-            last_plan_stats: PlanStats::default(),
             planned_actions: None,
             activation_counters: [None, None, None, None],
         }
@@ -199,76 +192,7 @@ impl ClusterManager {
             candidates: plan_stats.candidates_examined,
             demand_mib: plan_stats.demand_mib,
         });
-        self.last_plan_stats = plan_stats;
         actions
-    }
-
-    /// Fingerprint of the manager's private RNG stream position.
-    ///
-    /// The event engine samples this around [`Self::plan`]: an unchanged
-    /// fingerprint proves the round consumed no draws, which (together
-    /// with an unchanged view) makes the round replayable.
-    pub fn rng_fingerprint(&self) -> [u64; 4] {
-        self.rng.state_fingerprint()
-    }
-
-    /// Stats of the most recent planning round.
-    pub fn last_plan_stats(&self) -> &PlanStats {
-        &self.last_plan_stats
-    }
-
-    /// Re-emits the telemetry of a planning round whose outcome is
-    /// provably identical to the previous round, without re-planning.
-    ///
-    /// The caller must have established that (a) the previous round
-    /// returned zero actions, (b) the view is unchanged since, and
-    /// (c) the previous round consumed no RNG draws
-    /// ([`Self::rng_fingerprint`]). Under those premises a fresh
-    /// [`Self::plan`] call would deterministically reproduce the previous
-    /// round bit-for-bit, so this emits the same span/profile/counter/
-    /// audit sequence — with the new round number — at `O(scans)` cost
-    /// instead of `O(VMs × hosts)`.
-    pub fn replay_empty_round(&mut self) {
-        debug_assert!(self.last_plan_decision_ids.is_empty(), "replay of a non-empty round");
-        let round = self.stats.rounds as u32;
-        let span = self.telemetry.span("manager_plan");
-        let search = self.telemetry.span("placement_search");
-        if self.config.policy != PolicyKind::AlwaysOn {
-            let scope = self.telemetry.profile("plan_consolidation");
-            if self.config.policy.exchanges_full_for_partial() {
-                let pass = self.telemetry.profile("exchange_pass");
-                pass.end();
-            }
-            let pass = self.telemetry.profile("vacate_pass");
-            for _ in 0..self.last_plan_stats.vacate_scans {
-                let _scan = self.telemetry.profile("vacate_host_scan");
-            }
-            pass.end();
-            let pass = self.telemetry.profile("drain_pass");
-            for _ in 0..self.last_plan_stats.drain_scans {
-                let _scan = self.telemetry.profile("drain_host_scan");
-            }
-            pass.end();
-            scope.end();
-        }
-        search.end();
-        self.planned_actions_counter().add(0);
-        span.end();
-        self.stats.rounds += 1;
-        self.last_plan_decision_ids.clear();
-        self.telemetry.emit(Event::PlanAudit {
-            interval: round,
-            policy: self.config.policy.to_string(),
-            decision_base: 0,
-            actions: 0,
-            exchanges: self.last_plan_stats.exchanges,
-            vacated: self.last_plan_stats.vacated,
-            woken: self.last_plan_stats.woken,
-            approved: self.last_plan_stats.approved,
-            drained: self.last_plan_stats.drained,
-            candidates: self.last_plan_stats.candidates_examined,
-            demand_mib: self.last_plan_stats.demand_mib,
-        });
     }
 
     /// Decision ids allocated for the last planning round, aligned with

@@ -146,19 +146,18 @@ fn env_read_taint_has_its_own_kind() {
 }
 
 #[test]
-fn event_engine_modules_are_sink_territory() {
-    // The skip-ahead engine decides *when* work happens, so its modules
-    // (`engine.rs`, `events.rs` under crates/cluster) are decision-path
-    // sinks like `sim.rs`: a wall-clock or env read reachable from the
-    // day loop or the wake-heap scheduler must be flagged, or the heap
-    // order — and with it every "byte-identical" promise — could silently
-    // depend on the machine.
+fn day_loop_modules_are_sink_territory() {
+    // The day loop (`sim.rs`) and the shard driver that pauses it at
+    // epoch barriers (`shard.rs`) decide *when* work happens, so both are
+    // decision-path sinks: a wall-clock or env read reachable from either
+    // must be flagged, or the interval order — and with it every
+    // "byte-identical" promise — could silently depend on the machine.
     for (path, sink) in [
+        ("crates/cluster/src/sim.rs", "pub fn step_interval() -> u64 {\n    sample_latency()\n}\n"),
         (
-            "crates/cluster/src/engine.rs",
-            "pub fn run_day_event_timed() -> u64 {\n    sample_latency()\n}\n",
+            "crates/cluster/src/shard.rs",
+            "pub fn run_datacenter_day() -> u64 {\n    sample_latency()\n}\n",
         ),
-        ("crates/cluster/src/events.rs", "pub fn seed_heap() -> u64 {\n    sample_latency()\n}\n"),
     ] {
         let findings = taint_findings(&[
             ("crates/telemetry/src/span.rs", SOURCE),

@@ -14,9 +14,6 @@
 //!   input order, so parallel output is byte-identical to sequential.
 //! * [`fidelity`] — the switch between per-page and batched page-level
 //!   models ([`ModelFidelity`]), which must agree bit-for-bit.
-//! * [`mode`] — the switch between the interval walker and the
-//!   event-driven skip-ahead cluster core ([`EngineMode`]), which must
-//!   also agree bit-for-bit.
 //!
 //! Determinism is a design goal: given the same seed, a simulation produces
 //! bit-identical results on every platform. Event ties are broken by
@@ -27,7 +24,6 @@
 pub mod check;
 pub mod engine;
 pub mod fidelity;
-pub mod mode;
 pub mod pool;
 pub mod rng;
 pub mod stats;
@@ -35,7 +31,6 @@ pub mod time;
 
 pub use engine::{Engine, EventQueue};
 pub use fidelity::ModelFidelity;
-pub use mode::EngineMode;
 pub use pool::WorkerPool;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -49,16 +49,6 @@ impl SimRng {
         SimRng::new(a ^ tag.wrapping_mul(0xA24B_AED4_963E_E407))
     }
 
-    /// Opaque fingerprint of the generator's position in its stream.
-    ///
-    /// Two generators with equal fingerprints produce the same outputs
-    /// forever. The event-driven cluster engine compares fingerprints
-    /// around a planning round to prove the round consumed no draws
-    /// before treating it as replayable.
-    pub fn state_fingerprint(&self) -> [u64; 4] {
-        self.s
-    }
-
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);

@@ -12,10 +12,7 @@
 //!   no float re-association can break the books.
 //! * [`QuiescenceLedger`] counts host-intervals and VM-intervals in
 //!   which nothing changed (no power transition, no migration, no
-//!   demand/state mutation). The quiescent fraction is the direct
-//!   sizing evidence for the event-driven skip-ahead core (ROADMAP
-//!   item 1): every quiescent interval is one an event-driven simulator
-//!   would never have to simulate.
+//!   demand/state mutation): how much of a run was steady state.
 //!
 //! Both types are plain data — accumulated by `oasis-cluster`, attached
 //! to its `SimReport`, rendered by `oasis report` — and deterministic:
