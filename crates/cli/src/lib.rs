@@ -13,7 +13,7 @@
 //!              [--scenario NAME]
 //! oasis week   [--policy P] [--homes N] [--cons N] [--vms N] [--seed S]
 //!              [--jobs N]
-//! oasis micro  [--seed S] [--fidelity per-page|batched]
+//! oasis micro  [--seed S]
 //! oasis report [same sim flags] [--format text|json] [--top N]
 //!              [--wall true] [--folded PATH] [--folded-metric wall|sim|calls]
 //!              [--audit-out PATH] [--out PATH] [--scorecard true]
@@ -49,9 +49,9 @@ use oasis_cluster::shard::{planner_scorecard, run_datacenter_day, DatacenterConf
 use oasis_cluster::{ClusterConfig, ClusterSim, ScenarioSpec};
 use oasis_core::PolicyKind;
 use oasis_faults::{FaultProfile, FaultSchedule};
-use oasis_migration::lab::{LabOptions, MicroLab};
+use oasis_migration::lab::MicroLab;
 use oasis_power::MemoryServerProfile;
-use oasis_sim::{ModelFidelity, SimDuration, WorkerPool};
+use oasis_sim::{SimDuration, WorkerPool};
 use oasis_telemetry::{FoldedMetric, JsonlSink, Level, Telemetry};
 use oasis_trace::{ActivityModel, DayKind, TraceSet};
 use oasis_vm::apps::DesktopWorkload;
@@ -69,7 +69,7 @@ fn usage() -> ! {
          \x20             [--scale paper|smoke|datacenter] [--racks N] \\\n\
          \x20             [--planner global|local] [--jobs N] [--scenario NAME]\n\
          oasis week   --policy FulltoPartial --seed 1 [--jobs N]\n\
-         oasis micro  --seed 1 [--fidelity per-page|batched]\n\
+         oasis micro  --seed 1\n\
          oasis report --policy FulltoPartial --day weekday --seed 1 \\\n\
          \x20             [--format text|json] [--top 10] [--wall true] \\\n\
          \x20             [--folded profile.folded] [--folded-metric wall|sim|calls] \\\n\
@@ -497,9 +497,7 @@ fn cmd_week(args: Args) {
 
 fn cmd_micro(args: Args) {
     let seed = args.get_or("seed", 1u64).unwrap_or_else(|e| fail(e));
-    let fidelity: ModelFidelity =
-        args.get_or("fidelity", ModelFidelity::from_env()).unwrap_or_else(|e| fail(e));
-    let mut lab = MicroLab::with_options(seed, LabOptions { fidelity, ..LabOptions::default() });
+    let mut lab = MicroLab::new(seed);
     lab.prime_os();
     lab.run_workload(&DesktopWorkload::workload1());
     lab.idle_wait(SimDuration::from_mins(5));
@@ -580,7 +578,7 @@ pub fn run() {
         "sim" => cmd_sim(Args::parse(argv, SIM_FLAGS).unwrap_or_else(|e| fail(e))),
         "week" => cmd_week(Args::parse(argv, BASE_FLAGS).unwrap_or_else(|e| fail(e))),
         "report" => cmd_report(Args::parse(argv, REPORT_FLAGS).unwrap_or_else(|e| fail(e))),
-        "micro" => cmd_micro(Args::parse(argv, &["seed", "fidelity"]).unwrap_or_else(|e| fail(e))),
+        "micro" => cmd_micro(Args::parse(argv, &["seed"]).unwrap_or_else(|e| fail(e))),
         "trace" => cmd_trace(argv),
         _ => usage(),
     }

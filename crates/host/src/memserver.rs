@@ -47,8 +47,6 @@ pub enum MsError {
     CorruptImage,
     /// The serving daemon has crashed and not yet restarted.
     Crashed,
-    /// A drive handoff was attempted with fetches still in flight.
-    FetchesInFlight(u32),
 }
 
 impl core::fmt::Display for MsError {
@@ -61,7 +59,6 @@ impl core::fmt::Display for MsError {
             MsError::DriveBusy => write!(f, "drive already mounted elsewhere"),
             MsError::CorruptImage => write!(f, "corrupt on-disk image index"),
             MsError::Crashed => write!(f, "serving daemon crashed"),
-            MsError::FetchesInFlight(n) => write!(f, "{n} fetches still in flight"),
         }
     }
 }
@@ -97,8 +94,6 @@ pub struct MemoryServer {
     drive: DriveOwner,
     serving: bool,
     crashed: bool,
-    /// Page requests accepted but not yet answered, in arrival order.
-    pending: Vec<(VmId, PageNum)>,
     /// Fault-injection fuse: the daemon dies right after this many more
     /// successful serves ([`MemoryServer::schedule_crash_after`]).
     crash_fuse: Option<u64>,
@@ -126,7 +121,6 @@ impl MemoryServer {
             drive: DriveOwner::Host,
             serving: false,
             crashed: false,
-            pending: Vec::new(),
             crash_fuse: None,
             images: BTreeMap::new(),
             stats: ServeStats::default(),
@@ -156,11 +150,6 @@ impl MemoryServer {
         self.crashed
     }
 
-    /// Page requests accepted but not yet answered.
-    pub fn in_flight(&self) -> u32 {
-        self.pending.len() as u32
-    }
-
     /// Serving statistics so far.
     pub fn stats(&self) -> ServeStats {
         self.stats
@@ -170,15 +159,13 @@ impl MemoryServer {
     ///
     /// Reclaiming the drive from a crashed daemon is allowed — the images
     /// live on disk, so the host simply takes over — and clears the
-    /// crashed flag (the daemon's state dies with it, including any
-    /// fetches it had accepted).
+    /// crashed flag (the daemon's state dies with it).
     pub fn mount_at_host(&mut self) -> Result<(), MsError> {
         match self.drive {
             DriveOwner::Server if self.serving => Err(MsError::DriveBusy),
             _ => {
                 self.drive = DriveOwner::Host;
                 self.crashed = false;
-                self.pending.clear();
                 Ok(())
             }
         }
@@ -228,20 +215,12 @@ impl MemoryServer {
     }
 
     /// Host woke and its VMs returned: daemon stops, drive detaches.
-    ///
-    /// Refuses while fetches are in flight — answer them
-    /// ([`MemoryServer::complete_fetch`]) or cancel them
-    /// ([`MemoryServer::abort_fetches`]) first, or the detach would
-    /// silently drop guest page faults.
     pub fn handoff_to_host(&mut self) -> Result<(), MsError> {
         if self.crashed {
             return Err(MsError::Crashed);
         }
         if !self.serving {
             return Err(MsError::NotServing);
-        }
-        if !self.pending.is_empty() {
-            return Err(MsError::FetchesInFlight(self.pending.len() as u32));
         }
         self.serving = false;
         self.drive = DriveOwner::Host;
@@ -252,15 +231,12 @@ impl MemoryServer {
     ///
     /// Serving stops; the drive stays attached to the dead server until a
     /// [`MemoryServer::restart`] or a host reclaim via
-    /// [`MemoryServer::mount_at_host`]. Returns the fetches that were in
-    /// flight — each is an errored guest page fault the cluster layer
-    /// must recover. Images survive: they live on the drive, not in the
-    /// daemon.
-    pub fn crash(&mut self) -> Vec<(VmId, PageNum)> {
+    /// [`MemoryServer::mount_at_host`]. Images survive: they live on the
+    /// drive, not in the daemon.
+    pub fn crash(&mut self) {
         self.serving = false;
         self.crashed = true;
         self.crash_fuse = None;
-        core::mem::take(&mut self.pending)
     }
 
     /// Arms a fault-injection fuse: the serving daemon crashes immediately
@@ -269,9 +245,8 @@ impl MemoryServer {
     ///
     /// Unlike [`MemoryServer::crash`], the crash lands at an exact point
     /// in a request stream, which is how a daemon death interleaves with a
-    /// multi-page fetch in flight. Fetches still pending at that moment
-    /// stay queued; they error with [`MsError::Crashed`] when answered or
-    /// are reclaimed by [`MemoryServer::abort_fetches`].
+    /// run of demand faults: every later request errors with
+    /// [`MsError::Crashed`] until a restart.
     pub fn schedule_crash_after(&mut self, served: u64) {
         self.crash_fuse = Some(served);
     }
@@ -289,44 +264,6 @@ impl MemoryServer {
         self.crashed = false;
         self.serving = true;
         Ok(())
-    }
-
-    /// Accepts a page request without answering it yet, modeling the
-    /// window where a fetch is on the wire. Validates exactly like
-    /// [`MemoryServer::serve_page`] but defers the accounting to
-    /// [`MemoryServer::complete_fetch`].
-    pub fn begin_fetch(&mut self, vm: VmId, page: PageNum) -> Result<(), MsError> {
-        if self.crashed {
-            return Err(MsError::Crashed);
-        }
-        if !self.serving {
-            return Err(MsError::NotServing);
-        }
-        let image = self.images.get(&vm).ok_or(MsError::UnknownVm(vm))?;
-        if !image.contains_key(&page.0) {
-            return Err(MsError::UnknownPage(vm, page));
-        }
-        self.pending.push((vm, page));
-        Ok(())
-    }
-
-    /// Answers a fetch previously accepted by
-    /// [`MemoryServer::begin_fetch`].
-    pub fn complete_fetch(&mut self, vm: VmId, page: PageNum) -> Result<ByteSize, MsError> {
-        if self.crashed {
-            return Err(MsError::Crashed);
-        }
-        let Some(pos) = self.pending.iter().position(|&p| p == (vm, page)) else {
-            return Err(MsError::UnknownPage(vm, page));
-        };
-        self.pending.remove(pos);
-        self.serve_page(vm, page)
-    }
-
-    /// Cancels every in-flight fetch (e.g. before a planned detach),
-    /// returning them so the caller can re-issue after the handoff.
-    pub fn abort_fetches(&mut self) -> Vec<(VmId, PageNum)> {
-        core::mem::take(&mut self.pending)
     }
 
     /// Serves one page request by guest pseudo frame number.
@@ -595,57 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn detach_with_in_flight_fetches_is_refused() {
-        let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
-        ms.handoff_to_server().unwrap();
-        ms.begin_fetch(VmId(1), PageNum(3)).unwrap();
-        ms.begin_fetch(VmId(1), PageNum(7)).unwrap();
-        assert_eq!(ms.in_flight(), 2);
-        assert_eq!(ms.handoff_to_host(), Err(MsError::FetchesInFlight(2)));
-        // Answering one is not enough; answering both unblocks the detach.
-        assert_eq!(ms.complete_fetch(VmId(1), PageNum(3)).unwrap(), ByteSize::bytes(500));
-        assert_eq!(ms.handoff_to_host(), Err(MsError::FetchesInFlight(1)));
-        ms.complete_fetch(VmId(1), PageNum(7)).unwrap();
-        ms.handoff_to_host().unwrap();
-        assert_eq!(ms.drive_owner(), DriveOwner::Host);
-    }
-
-    #[test]
-    fn aborted_fetches_are_returned_for_reissue() {
-        let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
-        ms.handoff_to_server().unwrap();
-        ms.begin_fetch(VmId(1), PageNum(1)).unwrap();
-        ms.begin_fetch(VmId(1), PageNum(2)).unwrap();
-        let stats_before = ms.stats();
-        let dropped = ms.abort_fetches();
-        assert_eq!(dropped, vec![(VmId(1), PageNum(1)), (VmId(1), PageNum(2))]);
-        assert_eq!(ms.in_flight(), 0);
-        // Aborted fetches never count as served.
-        assert_eq!(ms.stats(), stats_before);
-        ms.handoff_to_host().unwrap();
-    }
-
-    #[test]
-    fn begin_fetch_validates_like_serve() {
-        let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
-        assert_eq!(ms.begin_fetch(VmId(1), PageNum(0)), Err(MsError::NotServing));
-        ms.handoff_to_server().unwrap();
-        assert_eq!(ms.begin_fetch(VmId(2), PageNum(0)), Err(MsError::UnknownVm(VmId(2))));
-        assert_eq!(
-            ms.begin_fetch(VmId(1), PageNum(99)),
-            Err(MsError::UnknownPage(VmId(1), PageNum(99)))
-        );
-        // Completing a fetch that was never begun is a protocol error.
-        assert_eq!(
-            ms.complete_fetch(VmId(1), PageNum(0)),
-            Err(MsError::UnknownPage(VmId(1), PageNum(0)))
-        );
-    }
-
-    #[test]
     fn double_attach_is_rejected_on_both_sides() {
         let mut ms = server();
         // Host side: re-mounting while already at the host is idempotent...
@@ -663,13 +549,10 @@ mod tests {
         let mut ms = server();
         ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
-        ms.begin_fetch(VmId(1), PageNum(4)).unwrap();
-        let orphaned = ms.crash();
-        assert_eq!(orphaned, vec![(VmId(1), PageNum(4))], "in-flight fetch errors out");
+        ms.crash();
         assert!(ms.is_crashed());
         assert!(!ms.is_serving());
         assert_eq!(ms.serve_page(VmId(1), PageNum(0)), Err(MsError::Crashed));
-        assert_eq!(ms.begin_fetch(VmId(1), PageNum(0)), Err(MsError::Crashed));
         assert_eq!(ms.handoff_to_host(), Err(MsError::Crashed));
         // Daemon reboot: images survived on the drive and serving resumes.
         ms.restart().unwrap();
@@ -712,14 +595,11 @@ mod tests {
         let mut ms = server();
         ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
-        ms.begin_fetch(VmId(1), PageNum(0)).unwrap();
         ms.crash();
-        // The woken host takes the drive back; the dead daemon's pending
-        // queue dies with it and the crashed flag clears.
+        // The woken host takes the drive back and the crashed flag clears.
         ms.mount_at_host().unwrap();
         assert_eq!(ms.drive_owner(), DriveOwner::Host);
         assert!(!ms.is_crashed());
-        assert_eq!(ms.in_flight(), 0);
         assert_eq!(ms.stored_pages(VmId(1)), 10, "images live on the drive");
         // Once the host owns the drive a daemon restart must fail.
         assert_eq!(ms.restart(), Err(MsError::DriveBusy));

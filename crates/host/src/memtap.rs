@@ -7,12 +7,10 @@
 //! transfer of the compressed page, and decompression in memtap before the
 //! hypervisor is notified to reschedule the suspended vCPU.
 
-use oasis_mem::{ByteSize, PageNum};
+use oasis_mem::ByteSize;
 use oasis_net::LinkSpec;
 use oasis_sim::SimDuration;
 use oasis_vm::VmId;
-
-use crate::memserver::{MemoryServer, MsError};
 
 /// Decompression throughput of the memtap process (bytes per second).
 ///
@@ -112,79 +110,6 @@ impl Memtap {
     pub fn serial_fetch_latency(&self, n: u64, mean: ByteSize) -> SimDuration {
         SimDuration::from_secs_f64(self.fault_latency(mean).as_secs_f64() * n as f64)
     }
-
-    /// Fetches a chunk of pages from the memory server in one pipelined
-    /// exchange: every request is issued ([`MemoryServer::begin_fetch`]),
-    /// then answered in order ([`MemoryServer::complete_fetch`]).
-    ///
-    /// The memtap stats are charged exactly once, for exactly the pages
-    /// that were actually served. If the server fails mid-chunk — most
-    /// importantly a daemon crash landing between two answers — the
-    /// remaining in-flight requests are aborted and *nothing* about them
-    /// reaches the stats: not the fault count, not the bytes, not the
-    /// latency. (A per-page loop that pre-charged the whole chunk would
-    /// overstate fetch traffic on every crash; see
-    /// `tests/fault_scenarios.rs`.)
-    ///
-    /// The served prefix is accounted identically to serial
-    /// [`service_fault`](Memtap::service_fault) calls: same per-page
-    /// latency terms summed in the same order, same byte totals.
-    pub fn fetch_chunk(&mut self, ms: &mut MemoryServer, pages: &[PageNum]) -> ChunkFetch {
-        let mut aborted = None;
-        let mut begun = 0;
-        for &page in pages {
-            match ms.begin_fetch(self.vm, page) {
-                Ok(()) => begun += 1,
-                Err(e) => {
-                    aborted = Some(e);
-                    break;
-                }
-            }
-        }
-        let mut served = Vec::with_capacity(begun);
-        let mut latency = SimDuration::ZERO;
-        for &page in &pages[..begun] {
-            match ms.complete_fetch(self.vm, page) {
-                Ok(size) => {
-                    latency += self.fault_latency(size);
-                    served.push((page, size));
-                }
-                Err(e) => {
-                    ms.abort_fetches();
-                    if aborted.is_none() {
-                        aborted = Some(e);
-                    }
-                    break;
-                }
-            }
-        }
-        self.stats.faults += served.len() as u64;
-        self.stats.raw_bytes += ByteSize::bytes(served.len() as u64 * oasis_mem::PAGE_SIZE);
-        for &(_, size) in &served {
-            self.stats.compressed_bytes += size;
-        }
-        ChunkFetch { served, latency, aborted }
-    }
-}
-
-/// Outcome of a chunk-granular fetch ([`Memtap::fetch_chunk`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunkFetch {
-    /// Pages actually served, in request order, with compressed sizes.
-    pub served: Vec<(PageNum, ByteSize)>,
-    /// End-to-end latency of the served prefix (sum of per-page fault
-    /// latencies, in order).
-    pub latency: SimDuration,
-    /// The error that cut the chunk short, if any; pages after the served
-    /// prefix were never fetched and never charged.
-    pub aborted: Option<MsError>,
-}
-
-impl ChunkFetch {
-    /// Compressed bytes of the served prefix.
-    pub fn compressed(&self) -> ByteSize {
-        self.served.iter().map(|&(_, s)| s).sum()
-    }
 }
 
 #[cfg(test)]
@@ -244,71 +169,6 @@ mod tests {
         let b = secured.fault_latency(ByteSize::bytes(2_000)).as_secs_f64();
         assert!(b > a, "security is not free");
         assert!(b < a * 1.05, "overhead must stay under 5%: {a} vs {b}");
-    }
-
-    /// A serving memory server holding `n` pages of varying compressed
-    /// sizes for `VmId(1)`.
-    fn loaded_server(n: u64) -> MemoryServer {
-        let mut ms = MemoryServer::new(MemoryServerProfile::prototype());
-        let batch: Vec<_> = (0..n)
-            .map(|i| (oasis_mem::PageNum(i), ByteSize::bytes(1_000 + (i % 7) * 100)))
-            .collect();
-        ms.upload(VmId(1), &batch, false).unwrap();
-        ms.handoff_to_server().unwrap();
-        ms
-    }
-
-    #[test]
-    fn fetch_chunk_matches_serial_faults() {
-        let mut serial_ms = loaded_server(10);
-        let mut chunk_ms = loaded_server(10);
-        let mut serial_mt = memtap();
-        let mut chunk_mt = memtap();
-        let pages: Vec<PageNum> = (0..10).map(PageNum).collect();
-        let mut serial_lat = SimDuration::ZERO;
-        for &p in &pages {
-            let size = serial_ms.serve_page(VmId(1), p).unwrap();
-            serial_lat += serial_mt.service_fault(size);
-        }
-        let fetch = chunk_mt.fetch_chunk(&mut chunk_ms, &pages);
-        assert_eq!(fetch.aborted, None);
-        assert_eq!(fetch.served.len(), 10);
-        assert_eq!(fetch.latency, serial_lat, "same per-page terms, same order");
-        assert_eq!(chunk_mt.stats(), serial_mt.stats());
-        assert_eq!(chunk_ms.stats(), serial_ms.stats());
-        assert_eq!(chunk_ms.in_flight(), 0);
-    }
-
-    #[test]
-    fn mid_chunk_crash_charges_only_served_pages() {
-        let mut ms = loaded_server(8);
-        let mut mt = memtap();
-        ms.schedule_crash_after(3);
-        let pages: Vec<PageNum> = (0..8).map(PageNum).collect();
-        let fetch = mt.fetch_chunk(&mut ms, &pages);
-        assert_eq!(fetch.aborted, Some(MsError::Crashed));
-        assert_eq!(fetch.served.len(), 3, "three answers landed before the daemon died");
-        let s = mt.stats();
-        assert_eq!(s.faults, 3);
-        assert_eq!(s.compressed_bytes, fetch.compressed());
-        assert_eq!(s.raw_bytes, ByteSize::bytes(3 * oasis_mem::PAGE_SIZE));
-        let expected: SimDuration =
-            fetch.served.iter().fold(SimDuration::ZERO, |acc, &(_, sz)| acc + mt.fault_latency(sz));
-        assert_eq!(fetch.latency, expected, "latency covers the served prefix only");
-        assert_eq!(ms.stats().requests, 3, "server counts only answered requests");
-        assert_eq!(ms.in_flight(), 0, "in-flight remainder was aborted");
-    }
-
-    #[test]
-    fn bad_page_stops_chunk_after_prefix() {
-        let mut ms = loaded_server(5);
-        let mut mt = memtap();
-        let pages = [PageNum(0), PageNum(1), PageNum(99), PageNum(2)];
-        let fetch = mt.fetch_chunk(&mut ms, &pages);
-        assert_eq!(fetch.aborted, Some(MsError::UnknownPage(VmId(1), PageNum(99))));
-        assert_eq!(fetch.served.len(), 2, "requests issued before the bad page are answered");
-        assert_eq!(mt.stats().faults, 2);
-        assert_eq!(ms.in_flight(), 0);
     }
 
     #[test]

@@ -624,7 +624,9 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Resu
                 continue;
             }
             let rel = rel_path(root, &path);
-            if rel.starts_with(FIXTURES_PREFIX) {
+            // A nested `[workspace]` (e.g. a benchmark harness with its
+            // own Cargo.lock) is a separate Cargo workspace, not ours.
+            if rel.starts_with(FIXTURES_PREFIX) || declares_workspace(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out)?;
@@ -650,10 +652,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     analyze_workspace(root, &Options::default())
 }
 
-/// Lints every `.rs` file under `root` (skipping build output, VCS state
-/// and the lint fixtures). The per-file phase runs on a worker pool and
-/// consults the content-hash cache; output is byte-identical for any
-/// `jobs` value and any cache state.
+/// Lints every `.rs` file under `root` (skipping build output, VCS state,
+/// the lint fixtures and nested Cargo workspaces). The per-file phase
+/// runs on a worker pool and consults the content-hash cache; output is
+/// byte-identical for any `jobs` value and any cache state.
 pub fn analyze_workspace(root: &Path, opts: &Options) -> io::Result<Report> {
     let root = root.canonicalize()?;
     let mut files = Vec::new();
@@ -707,12 +709,16 @@ pub fn lint_files(root: &Path, files: &[PathBuf]) -> io::Result<Report> {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.canonicalize().ok()?;
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if declares_workspace(&dir) {
+            return Some(dir);
         }
         dir = dir.parent()?.to_path_buf();
     }
+}
+
+/// `true` when `dir/Cargo.toml` has a `[workspace]` table, i.e. `dir` is
+/// the root of a Cargo workspace.
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| text.lines().any(|l| l.trim() == "[workspace]"))
 }

@@ -30,6 +30,38 @@ fn workspace_is_lint_clean() {
     );
 }
 
+/// A directory whose `Cargo.toml` declares its own `[workspace]` is a
+/// separate Cargo workspace: the walker skips it, while member crates
+/// (plain `[package]` manifests) are still linted.
+#[test]
+fn nested_workspaces_are_not_walked() {
+    let tree = Path::new(env!("CARGO_TARGET_TMPDIR")).join("nested-workspace-walk");
+    let _ = std::fs::remove_dir_all(&tree);
+    let write = |rel: &str, text: &str| {
+        let path = tree.join(rel);
+        std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        std::fs::write(path, text).expect("write fixture");
+    };
+    let stamp = "pub fn stamp() -> std::time::Instant {\n    std::time::Instant::now()\n}\n";
+    write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+    write("crates/member/Cargo.toml", "[package]\nname = \"member\"\n");
+    write("crates/member/src/lib.rs", stamp);
+    write("harness/Cargo.toml", "[package]\nname = \"harness\"\n\n[workspace]\n");
+    write("harness/src/lib.rs", stamp);
+
+    let report = lint_workspace(&tree).expect("temp tree walk");
+    let files: Vec<&str> = report.findings.iter().map(|f| f.file.as_str()).collect();
+    assert_eq!(report.checked_files, 1, "{files:?}");
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == "wall-clock" && f.file == "crates/member/src/lib.rs"),
+        "the member crate must still be linted: {files:?}"
+    );
+    assert!(!files.iter().any(|f| f.starts_with("harness/")), "{files:?}");
+}
+
 #[test]
 fn report_is_byte_identical_across_job_counts() {
     let root = root();

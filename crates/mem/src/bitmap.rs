@@ -90,57 +90,6 @@ impl Bitmap {
         self.ones = self.len;
     }
 
-    /// Length of the maximal run of bits equal to `value` starting at
-    /// `start`, examining one word at a time.
-    ///
-    /// Returns 0 when `start >= len`. Equivalent to counting how many
-    /// consecutive [`get`](Bitmap::get) calls from `start` return
-    /// `value`, but costs one `trailing_zeros` per 64 bits instead of a
-    /// bit test per index — the primitive behind run-length batching of
-    /// page-table walks.
-    pub fn run_len(&self, start: usize, value: bool) -> usize {
-        if start >= self.len {
-            return 0;
-        }
-        let mut i = start;
-        while i < self.len {
-            let (w, bit) = (i / 64, i % 64);
-            // Normalize so the run we count is of zero bits, then skip
-            // to the first one bit at or above `bit`.
-            let word = if value { !self.words[w] } else { self.words[w] } >> bit;
-            if word != 0 {
-                i += word.trailing_zeros() as usize;
-                break;
-            }
-            i += 64 - bit;
-        }
-        i.min(self.len) - start
-    }
-
-    /// Sets bits `start..start + n`; returns how many changed.
-    ///
-    /// Equivalent to `n` calls of [`set`](Bitmap::set), but applies whole
-    /// 64-bit masks per word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range extends past `len`.
-    pub fn set_range(&mut self, start: usize, n: usize) -> usize {
-        assert!(start + n <= self.len, "range {start}..{} out of range {}", start + n, self.len);
-        let mut changed = 0;
-        let (mut i, end) = (start, start + n);
-        while i < end {
-            let (w, bit) = (i / 64, i % 64);
-            let span = (64 - bit).min(end - i);
-            let mask = if span == 64 { !0u64 } else { ((1u64 << span) - 1) << bit };
-            changed += (mask & !self.words[w]).count_ones() as usize;
-            self.words[w] |= mask;
-            i += span;
-        }
-        self.ones += changed;
-        changed
-    }
-
     /// Iterates over the indices of set bits, in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(move |(wi, &w)| {
@@ -260,91 +209,5 @@ mod tests {
         let b = Bitmap::new(0);
         assert!(b.is_empty());
         assert_eq!(b.iter_ones().count(), 0);
-    }
-
-    /// Reference implementation of [`Bitmap::run_len`]: one bit at a time.
-    fn run_len_slow(b: &Bitmap, start: usize, value: bool) -> usize {
-        (start..b.len()).take_while(|&i| b.get(i) == value).count()
-    }
-
-    #[test]
-    fn run_len_crosses_words() {
-        let mut b = Bitmap::new(200);
-        for i in 10..150 {
-            b.set(i);
-        }
-        assert_eq!(b.run_len(10, true), 140);
-        assert_eq!(b.run_len(0, false), 10);
-        assert_eq!(b.run_len(150, false), 50);
-        assert_eq!(b.run_len(149, true), 1);
-        assert_eq!(b.run_len(200, true), 0, "past the end");
-        assert_eq!(b.run_len(10, false), 0, "wrong value at start");
-    }
-
-    #[test]
-    fn run_len_to_exact_end() {
-        let mut b = Bitmap::new(128);
-        b.set_all();
-        assert_eq!(b.run_len(0, true), 128, "word-aligned tail");
-        let mut c = Bitmap::new(70);
-        c.set_all();
-        assert_eq!(c.run_len(64, true), 6, "partial tail word");
-        c.clear_all();
-        assert_eq!(c.run_len(64, false), 6);
-    }
-
-    #[test]
-    fn set_range_matches_per_bit() {
-        let mut batched = Bitmap::new(300);
-        let mut serial = Bitmap::new(300);
-        serial.set(100);
-        batched.set(100);
-        let changed = batched.set_range(70, 150);
-        let mut slow_changed = 0;
-        for i in 70..220 {
-            if serial.set(i) {
-                slow_changed += 1;
-            }
-        }
-        assert_eq!(batched, serial);
-        assert_eq!(changed, slow_changed);
-        assert_eq!(batched.count_ones(), serial.count_ones());
-        assert_eq!(batched.set_range(0, 0), 0, "empty range is a no-op");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn set_range_past_end_panics() {
-        Bitmap::new(100).set_range(90, 11);
-    }
-
-    #[test]
-    fn randomized_runs_match_bit_at_a_time() {
-        // A pseudo-random bit soup; every (start, value) probe and every
-        // range set must agree with the per-bit reference.
-        let mut b = Bitmap::new(517);
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..200 {
-            b.set((next() % 517) as usize);
-        }
-        for start in 0..517 {
-            assert_eq!(b.run_len(start, true), run_len_slow(&b, start, true), "ones at {start}");
-            assert_eq!(b.run_len(start, false), run_len_slow(&b, start, false), "zeros at {start}");
-        }
-        for _ in 0..100 {
-            let start = (next() % 517) as usize;
-            let n = (next() % (517 - start as u64 + 1)) as usize;
-            let mut serial = b.clone();
-            let changed = b.set_range(start, n);
-            let slow = (start..start + n).filter(|&i| serial.set(i)).count();
-            assert_eq!(b, serial, "set_range({start}, {n})");
-            assert_eq!(changed, slow);
-        }
     }
 }

@@ -65,18 +65,6 @@ impl WorkingSetTracker {
         i < self.touched.len() && self.touched.set(i)
     }
 
-    /// Records accesses to `start..start + n` in one pass; returns how
-    /// many pages were new to the set.
-    ///
-    /// Equivalent to `n` calls of [`touch`](WorkingSetTracker::touch);
-    /// the portion of the range beyond the tracker is ignored just as
-    /// per-page out-of-range touches are.
-    pub fn touch_range(&mut self, start: PageNum, n: u64) -> u64 {
-        let s = (start.0 as usize).min(self.touched.len());
-        let e = ((start.0 + n) as usize).min(self.touched.len());
-        self.touched.set_range(s, e - s) as u64
-    }
-
     /// Number of unique pages touched.
     pub fn unique_pages(&self) -> u64 {
         self.touched.count_ones() as u64
@@ -141,21 +129,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(dist.sample(&mut rng, alloc) <= alloc);
         }
-    }
-
-    #[test]
-    fn touch_range_matches_serial_touches() {
-        let mut batched = WorkingSetTracker::new(100);
-        let mut serial = WorkingSetTracker::new(100);
-        serial.touch(PageNum(12));
-        batched.touch(PageNum(12));
-        let fresh = batched.touch_range(PageNum(10), 20);
-        let slow = (10..30).filter(|&p| serial.touch(PageNum(p))).count() as u64;
-        assert_eq!(fresh, slow);
-        assert_eq!(batched.pages(), serial.pages());
-        // Out-of-range tail ignored, like per-page touches.
-        assert_eq!(batched.touch_range(PageNum(95), 10), 5);
-        assert_eq!(batched.touch_range(PageNum(200), 5), 0);
     }
 
     #[test]

@@ -154,120 +154,6 @@ fn dirty_epochs_partition_writes() {
     });
 }
 
-/// A batched run-length touch is indistinguishable from the per-page
-/// loop it replaces: same hit count and the same resulting table state.
-///
-/// The serial reference stops at the first fault *inclusive* (it touches
-/// the faulting page); `touch_run` stops exclusive and the caller
-/// replays the faulting access, exactly as the hypervisor's batched
-/// fault path does. After the replay the two tables must agree on every
-/// observable: present set, accessed set, dirty epoch.
-#[test]
-fn touch_run_matches_per_page_loop() {
-    run(64, |g: &mut Gen| {
-        let pages = g.u64_in(1, 2_000);
-        let mut batched = PageTable::new_absent(pages);
-        for p in 0..pages {
-            if g.bool() {
-                batched.install(PageNum(p), MachineFrame(p)).unwrap();
-            }
-        }
-        let mut serial = batched.clone();
-        let start = g.u64_in(0, pages);
-        let max_len = (pages - start) as usize;
-        let len = g.usize_in(0, max_len.min(256) + 1);
-        let writes = g.vec(len, len + 1, |g| g.bool());
-
-        let mut serial_hits = 0u64;
-        for (i, &w) in writes.iter().enumerate() {
-            match serial.touch(PageNum(start + i as u64), w).unwrap() {
-                Access::Hit => serial_hits += 1,
-                Access::Fault => break,
-            }
-        }
-
-        let hits = batched.touch_run(PageNum(start), &writes).unwrap();
-        assert_eq!(hits, serial_hits, "hit count diverged");
-        if (hits as usize) < writes.len() {
-            let access = batched.touch(PageNum(start + hits), writes[hits as usize]).unwrap();
-            assert_eq!(access, Access::Fault, "run must stop at the first absent page");
-        }
-
-        assert_eq!(batched.present_count(), serial.present_count());
-        assert_eq!(batched.accessed_count(), serial.accessed_count());
-        assert_eq!(batched.dirty_count(), serial.dirty_count());
-        assert_eq!(batched.accessed_pages(), serial.accessed_pages());
-        assert_eq!(batched.take_dirty(), serial.take_dirty());
-    });
-}
-
-/// `present_run` reports exactly the maximal all-present run at `start`.
-#[test]
-fn present_run_matches_scan() {
-    run(64, |g: &mut Gen| {
-        let pages = g.u64_in(1, 1_000);
-        let mut pt = PageTable::new_absent(pages);
-        let mut present = vec![false; pages as usize];
-        for p in 0..pages {
-            if g.bool() {
-                pt.install(PageNum(p), MachineFrame(p)).unwrap();
-                present[p as usize] = true;
-            }
-        }
-        let start = g.u64_in(0, pages);
-        let expect = present[start as usize..].iter().take_while(|&&b| b).count() as u64;
-        assert_eq!(pt.present_run(PageNum(start)), expect);
-    });
-}
-
-/// A whole workload of batched runs interleaved with installs and
-/// evictions leaves the table equivalent to the serial replay — the
-/// batching is sound over evolving residency, not just a fixed snapshot.
-#[test]
-fn batched_workload_matches_serial_replay() {
-    run(32, |g: &mut Gen| {
-        let pages = g.u64_in(1, 500);
-        let mut serial = PageTable::new_absent(pages);
-        let mut batched = PageTable::new_absent(pages);
-        for _ in 0..g.usize_in(0, 60) {
-            match g.u64_in(0, 3) {
-                0 => {
-                    let p = PageNum(g.u64_in(0, pages));
-                    let _ = serial.install(p, MachineFrame(p.0));
-                    let _ = batched.install(p, MachineFrame(p.0));
-                }
-                1 => {
-                    let p = PageNum(g.u64_in(0, pages));
-                    let _ = serial.evict(p);
-                    let _ = batched.evict(p);
-                }
-                _ => {
-                    let start = g.u64_in(0, pages);
-                    let len = g.usize_in(0, ((pages - start) as usize).min(64) + 1);
-                    let writes = g.vec(len, len + 1, |g| g.bool());
-                    let mut hits = 0u64;
-                    for (i, &w) in writes.iter().enumerate() {
-                        match serial.touch(PageNum(start + i as u64), w).unwrap() {
-                            Access::Hit => hits += 1,
-                            Access::Fault => break,
-                        }
-                    }
-                    let batch_hits = batched.touch_run(PageNum(start), &writes).unwrap();
-                    assert_eq!(batch_hits, hits);
-                    if (batch_hits as usize) < writes.len() {
-                        batched
-                            .touch(PageNum(start + batch_hits), writes[batch_hits as usize])
-                            .unwrap();
-                    }
-                }
-            }
-        }
-        assert_eq!(batched.present_count(), serial.present_count());
-        assert_eq!(batched.accessed_pages(), serial.accessed_pages());
-        assert_eq!(batched.take_dirty(), serial.take_dirty());
-    });
-}
-
 /// ByteSize arithmetic is total and monotone.
 #[test]
 fn bytesize_arithmetic() {

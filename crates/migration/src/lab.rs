@@ -30,7 +30,7 @@ use oasis_mem::compress::{compress, PageMix};
 use oasis_mem::{ByteSize, PageNum, PAGE_SIZE};
 use oasis_net::{LinkSpec, TrafficAccountant, TrafficClass};
 use oasis_power::{HostEnergyProfile, MemoryServerProfile};
-use oasis_sim::{ModelFidelity, SimDuration, SimRng, SimTime};
+use oasis_sim::{SimDuration, SimRng, SimTime};
 use oasis_vm::apps::{Application, DesktopWorkload};
 use oasis_vm::workload::WorkloadClass;
 use oasis_vm::{Vm, VmId, VmState};
@@ -125,10 +125,6 @@ pub struct LabOptions {
     /// Run all memtap↔memory-server traffic over the §4.3 secure channel
     /// (certificate handshake + AEAD records).
     pub secure_channel: bool,
-    /// Page-level model fidelity: the per-page hot loops or their batched
-    /// equivalents. The two are bit-identical (locked by the differential
-    /// equivalence suite); `Batched` is the fast path.
-    pub fidelity: ModelFidelity,
 }
 
 impl Default for LabOptions {
@@ -139,7 +135,6 @@ impl Default for LabOptions {
             overwrite_obviation: true,
             serve_error_rate: 0.0,
             secure_channel: false,
-            fidelity: ModelFidelity::from_env(),
         }
     }
 }
@@ -238,40 +233,17 @@ impl MicroLab {
         start..end
     }
 
-    /// Touches a fresh sequential range at home with per-page write
-    /// draws.
-    ///
-    /// Both fidelities consume the same RNG sequence (one `chance` per
-    /// page, in page order). `PerPage` walks the pages one access at a
-    /// time; `Batched` pre-draws the write flags and applies them in a
-    /// single hypervisor run. The range comes from the fresh-page bump
-    /// pointer on a fully resident table, so the serial loop never
-    /// faults and the run consumes every page — identical state either
-    /// way.
+    /// Touches a fresh sequential range at home, one guest access per
+    /// page with one write draw each, in page order. The range comes from
+    /// the fresh-page bump pointer on a fully resident table, so no
+    /// access faults.
     fn touch_sequential(&mut self, range: std::ops::Range<u64>) {
-        if range.is_empty() {
-            return;
-        }
-        match self.options.fidelity {
-            ModelFidelity::PerPage => {
-                for p in range {
-                    let write = self.rng.chance(PRIME_WRITE_FRACTION);
-                    self.home
-                        .hypervisor
-                        .guest_access(self.vm_id, PageNum(p), write)
-                        .expect("resident access");
-                }
-            }
-            ModelFidelity::Batched => {
-                let writes: Vec<bool> =
-                    range.clone().map(|_| self.rng.chance(PRIME_WRITE_FRACTION)).collect();
-                let hits = self
-                    .home
-                    .hypervisor
-                    .guest_access_run(self.vm_id, PageNum(range.start), &writes)
-                    .expect("resident access");
-                debug_assert_eq!(hits, writes.len() as u64, "fresh lab ranges are resident");
-            }
+        for p in range {
+            let write = self.rng.chance(PRIME_WRITE_FRACTION);
+            self.home
+                .hypervisor
+                .guest_access(self.vm_id, PageNum(p), write)
+                .expect("resident access");
         }
     }
 
@@ -302,29 +274,14 @@ impl MicroLab {
         self.home.set_vm_state(self.vm_id, VmState::Idle).expect("vm hosted");
         let pages = (IDLE_DIRTY_PAGES_PER_MIN * duration.as_secs_f64() / 60.0) as u64;
         // Background dirtying rewrites already-touched pages; every
-        // target is below the fresh-page pointer on a resident table, so
-        // both fidelities see hits only and draw the same RNG sequence.
+        // target is below the fresh-page pointer on a resident table.
         let limit = self.next_fresh_page.max(1);
-        match self.options.fidelity {
-            ModelFidelity::PerPage => {
-                for _ in 0..pages {
-                    let p = self.rng.below(limit);
-                    self.home
-                        .hypervisor
-                        .guest_access(self.vm_id, PageNum(p), true)
-                        .expect("resident access");
-                }
-            }
-            ModelFidelity::Batched => {
-                let targets: Vec<PageNum> =
-                    (0..pages).map(|_| PageNum(self.rng.below(limit))).collect();
-                let hits = self
-                    .home
-                    .hypervisor
-                    .guest_access_writes(self.vm_id, &targets)
-                    .expect("resident access");
-                debug_assert_eq!(hits, pages, "idle dirtying targets resident pages");
-            }
+        for _ in 0..pages {
+            let p = self.rng.below(limit);
+            self.home
+                .hypervisor
+                .guest_access(self.vm_id, PageNum(p), true)
+                .expect("resident access");
         }
         self.now += duration;
     }
@@ -422,11 +379,8 @@ impl MicroLab {
         let mut faults = 0u64;
         let mut retries = 0u64;
         let mut retry_time = SimDuration::ZERO;
-        // This demand-fetch loop is deliberately shared between
-        // fidelities: every install changes which pages are present,
-        // which decides whether the *next* draw hits or faults — the
-        // iteration is inherently sequential and cannot be batched
-        // without changing the RNG-visible outcome (DESIGN.md §14).
+        // Every install changes which pages are present, which decides
+        // whether the *next* draw hits or faults: the loop is sequential.
         for _ in 0..unique_pages {
             // First touches revisit the uploaded state (fetch) or write
             // fresh allocations (no fetch, §4.4.3 obviation).
@@ -493,28 +447,12 @@ impl MicroLab {
             .present_pages()
             .collect();
         if !present.is_empty() {
-            // Re-dirtying only touches pages already present, so both
-            // fidelities see hits only and draw the same index sequence.
-            match self.options.fidelity {
-                ModelFidelity::PerPage => {
-                    for _ in 0..redirty {
-                        let p = present[self.rng.index(present.len())];
-                        self.consolidation
-                            .hypervisor
-                            .guest_access(self.vm_id, p, true)
-                            .expect("present page");
-                    }
-                }
-                ModelFidelity::Batched => {
-                    let targets: Vec<PageNum> =
-                        (0..redirty).map(|_| present[self.rng.index(present.len())]).collect();
-                    let hits = self
-                        .consolidation
-                        .hypervisor
-                        .guest_access_writes(self.vm_id, &targets)
-                        .expect("present page");
-                    debug_assert_eq!(hits, redirty, "redirty targets present pages");
-                }
+            for _ in 0..redirty {
+                let p = present[self.rng.index(present.len())];
+                self.consolidation
+                    .hypervisor
+                    .guest_access(self.vm_id, p, true)
+                    .expect("present page");
             }
         }
 
@@ -561,8 +499,7 @@ impl MicroLab {
 
     /// Fully (pre-copy live) migrates the VM, for the Figure 5 baseline.
     pub fn full_migrate_baseline(&self) -> PrecopyOutcome {
-        precopy::migrate_at(
-            self.options.fidelity,
+        precopy::migrate(
             ByteSize::gib(4),
             ACTIVE_DIRTY_RATE,
             LinkSpec::gige(),
@@ -723,49 +660,6 @@ mod tests {
         // Reintegration still works after a lossy consolidation.
         let r = lab.reintegrate();
         assert!(r.total.as_secs_f64() < 10.0);
-    }
-
-    /// Runs the full flow at the given fidelity and serializes every
-    /// observable outcome: phase reports, traffic ledger, memtap and
-    /// memory-server stats, final page-table/working-set state and the
-    /// lab clock. Byte-identical strings ⇒ bit-identical runs.
-    fn flow_snapshot(fidelity: ModelFidelity, serve_error_rate: f64) -> String {
-        let mut lab = MicroLab::with_options(
-            1,
-            LabOptions { fidelity, serve_error_rate, ..LabOptions::default() },
-        );
-        lab.prime_os();
-        lab.run_workload(&DesktopWorkload::workload1());
-        lab.idle_wait(SimDuration::from_mins(5));
-        let first = lab.partial_migrate();
-        let idle = lab.consolidated_idle(SimDuration::from_mins(20));
-        let reint = lab.reintegrate();
-        lab.run_workload(&DesktopWorkload::workload2());
-        lab.idle_wait(SimDuration::from_mins(5));
-        let second = lab.partial_migrate();
-        let full = lab.full_migrate_baseline();
-        let home = lab.home.hypervisor.vm(lab.vm_id).expect("vm at home");
-        format!(
-            "{first:?}\n{idle:?}\n{reint:?}\n{second:?}\n{full:?}\n{:?}\n{:?}\n{:?}\nwss={} present={} dirty={} now={:?}",
-            lab.traffic,
-            lab.memtap.stats(),
-            lab.home.memserver.as_ref().expect("memserver").stats(),
-            home.wss.unique_pages(),
-            home.table.present_count(),
-            home.dirty.dirty_count(),
-            lab.now(),
-        )
-    }
-
-    #[test]
-    fn batched_fidelity_is_bit_identical_end_to_end() {
-        for rate in [0.0, 0.10] {
-            assert_eq!(
-                flow_snapshot(ModelFidelity::PerPage, rate),
-                flow_snapshot(ModelFidelity::Batched, rate),
-                "fidelities diverged at serve_error_rate {rate}"
-            );
-        }
     }
 
     #[test]

@@ -129,134 +129,6 @@ pub fn migrate(
     }
 }
 
-/// Closed-form round count for the pre-copy recurrence, in real
-/// arithmetic.
-///
-/// With `q = dirty_rate / rate < 1` the dirty set follows the geometric
-/// chain `d_k = M·qᵏ`, so convergence (`d_k ≤ T`) lands at
-/// `k = ⌈ln(T/M) / ln(q)⌉`. The iterative model computes the chain in
-/// f64, whose rounding can cross the threshold one round to either side
-/// of this value; [`migrate_batched`] therefore uses the estimate as a
-/// model check only and pins the exact count against the replayed chain.
-///
-/// Returns `(rounds, forced_stop)` under `config`'s threshold and round
-/// limit.
-pub fn analytic_round_estimate(
-    memory: ByteSize,
-    dirty_rate: f64,
-    link: LinkSpec,
-    config: &PrecopyConfig,
-) -> (u32, bool) {
-    let m = memory.as_bytes() as f64;
-    let t = config.stop_threshold.as_bytes() as f64;
-    let q = dirty_rate / link.bandwidth;
-    if config.max_rounds == 0 {
-        return (0, true);
-    }
-    if q * m <= t {
-        // d₁ already under the threshold (covers dirty_rate = 0).
-        return (1, false);
-    }
-    if q >= 1.0 {
-        // The dirty set never shrinks: the non-convergence check fires as
-        // soon as it can (round 2), or the round limit if lower.
-        return (config.max_rounds.min(2), true);
-    }
-    let k = ((t / m).ln() / q.ln()).ceil().max(1.0) as u32;
-    if k <= config.max_rounds {
-        (k, false)
-    } else {
-        (config.max_rounds, true)
-    }
-}
-
-/// Batched (analytic) equivalent of [`migrate`]: plans the round count
-/// from the dirty-set recurrence, then replays exactly that many
-/// accumulation steps — bit-identical to the iterative loop.
-///
-/// The plan scan walks the dirty-set chain `d_{k+1} = dirty_rate·(d_k /
-/// rate)` applying the iterative model's exact stop conditions (it must:
-/// [`analytic_round_estimate`]'s closed form is only good to ±1 round at
-/// f64 threshold boundaries). The scan does no accumulation; the replay
-/// then performs the same f64 additions in the same order as [`migrate`]
-/// — f64 addition is not associative, so bit-identity requires the
-/// operand sequence, not just the set of terms.
-pub fn migrate_batched(
-    memory: ByteSize,
-    dirty_rate: f64,
-    link: LinkSpec,
-    config: &PrecopyConfig,
-) -> PrecopyOutcome {
-    let rate = link.bandwidth;
-    let m = memory.as_bytes() as f64;
-    let t = config.stop_threshold.as_bytes() as f64;
-
-    // Plan: how many rounds run, and whether the stop was forced.
-    let (rounds, forced_stop) = if config.max_rounds == 0 {
-        (0, true)
-    } else {
-        let d1 = (dirty_rate * (m / rate)).min(m);
-        if d1 <= t {
-            (1, false)
-        } else {
-            let mut k = 1u32;
-            let mut d = d1;
-            loop {
-                if k >= config.max_rounds {
-                    break (k, true);
-                }
-                let next = (dirty_rate * (d / rate)).min(m);
-                k += 1;
-                if next <= t {
-                    break (k, false);
-                }
-                if next >= d {
-                    break (k, true);
-                }
-                d = next;
-            }
-        }
-    };
-
-    // Replay: the planned rounds' sums, in the iterative operand order.
-    let mut to_send = m;
-    let mut total = 0.0;
-    let mut time = config.setup_overhead.as_secs_f64();
-    for _ in 0..rounds {
-        let round_time = to_send / rate;
-        total += to_send;
-        time += round_time;
-        to_send = (dirty_rate * round_time).min(m);
-    }
-    let downtime = to_send / rate + 0.05;
-    total += to_send;
-    time += downtime;
-
-    PrecopyOutcome {
-        bytes_sent: ByteSize::bytes(total.round() as u64),
-        duration: SimDuration::from_secs_f64(time),
-        downtime: SimDuration::from_secs_f64(downtime),
-        rounds,
-        forced_stop,
-    }
-}
-
-/// Dispatches between [`migrate`] and [`migrate_batched`] on the model
-/// fidelity — the two agree bit-for-bit, which the differential suite
-/// locks.
-pub fn migrate_at(
-    fidelity: oasis_sim::ModelFidelity,
-    memory: ByteSize,
-    dirty_rate: f64,
-    link: LinkSpec,
-    config: &PrecopyConfig,
-) -> PrecopyOutcome {
-    match fidelity {
-        oasis_sim::ModelFidelity::PerPage => migrate(memory, dirty_rate, link, config),
-        oasis_sim::ModelFidelity::Batched => migrate_batched(memory, dirty_rate, link, config),
-    }
-}
-
 /// Convenience: dirty rate in bytes/s from pages/s.
 pub fn pages_per_sec(pages: f64) -> f64 {
     pages * PAGE_SIZE as f64
@@ -342,82 +214,5 @@ mod tests {
     #[test]
     fn pages_per_sec_conversion() {
         assert_eq!(pages_per_sec(1.0), 4_096.0);
-    }
-
-    #[test]
-    fn batched_matches_iterative_on_canonical_cases() {
-        let cfg = PrecopyConfig::default();
-        let mib = 1024.0 * 1024.0;
-        for (mem, dirty_rate) in [
-            (GIB4, 0.0),                     // Idle: one round.
-            (GIB4, 15.0 * mib),              // Figure 5's primed desktop.
-            (GIB4, 60.0 * mib),              // Slow convergence.
-            (GIB4, 200.0 * mib),             // Hotter than GigE: forced.
-            (ByteSize::mib(16), 15.0 * mib), // Under the stop threshold.
-        ] {
-            for link in [LinkSpec::gige(), LinkSpec::ten_gige()] {
-                assert_eq!(
-                    migrate(mem, dirty_rate, link, &cfg),
-                    migrate_batched(mem, dirty_rate, link, &cfg),
-                    "mem {mem:?} dirty {dirty_rate} link {link:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_matches_iterative_randomized() {
-        // The satellite property: for randomized writable-working-set
-        // sizes, dirty rates, thresholds and round limits, the analytic
-        // model reproduces the iterative loop bit-for-bit (PrecopyOutcome
-        // equality covers every field, durations at microsecond grain and
-        // bytes exactly).
-        let mut rng = oasis_sim::SimRng::new(0x93E_C097);
-        for case in 0..500 {
-            let memory = ByteSize::bytes(rng.below(8 << 30) + 1);
-            let link = if rng.chance(0.5) { LinkSpec::gige() } else { LinkSpec::ten_gige() };
-            let dirty_rate = rng.range_f64(0.0, 2.5 * link.bandwidth);
-            let config = PrecopyConfig {
-                stop_threshold: ByteSize::bytes(rng.below(256 << 20) + 1),
-                max_rounds: [0, 1, 2, 3, 30][rng.index(5)],
-                setup_overhead: SimDuration::from_millis(rng.below(2_000)),
-            };
-            let iterative = migrate(memory, dirty_rate, link, &config);
-            let batched = migrate_batched(memory, dirty_rate, link, &config);
-            assert_eq!(iterative, batched, "case {case}: mem {memory:?} dirty {dirty_rate}");
-        }
-    }
-
-    #[test]
-    fn migrate_at_dispatches_on_fidelity() {
-        use oasis_sim::ModelFidelity;
-        let cfg = PrecopyConfig::default();
-        let rate = 15.0 * 1024.0 * 1024.0;
-        let a = migrate_at(ModelFidelity::PerPage, GIB4, rate, LinkSpec::gige(), &cfg);
-        let b = migrate_at(ModelFidelity::Batched, GIB4, rate, LinkSpec::gige(), &cfg);
-        assert_eq!(a, b);
-        assert_eq!(a, migrate(GIB4, rate, LinkSpec::gige(), &cfg));
-    }
-
-    #[test]
-    fn analytic_estimate_within_one_round_of_exact() {
-        // Well away from the q → 1 regime the closed form pins the round
-        // count to ±1 of the f64 chain.
-        let cfg = PrecopyConfig::default();
-        let link = LinkSpec::gige();
-        let mut rng = oasis_sim::SimRng::new(7);
-        for _ in 0..200 {
-            let memory = ByteSize::mib(rng.below(8_128) + 64);
-            let dirty_rate = rng.range_f64(0.0, 0.5) * link.bandwidth;
-            let exact = migrate(memory, dirty_rate, link, &cfg);
-            let (rounds, forced) = analytic_round_estimate(memory, dirty_rate, link, &cfg);
-            assert!(
-                rounds.abs_diff(exact.rounds) <= 1,
-                "estimate {rounds} vs exact {} for mem {memory:?} dirty {dirty_rate}",
-                exact.rounds
-            );
-            assert!(!forced, "q <= 0.5 always converges within the default limit");
-            assert!(!exact.forced_stop);
-        }
     }
 }

@@ -12,8 +12,6 @@
 //! * [`pool`] — a scoped-thread worker pool ([`pool::WorkerPool`]) that
 //!   fans independent seeded runs across cores while keeping results in
 //!   input order, so parallel output is byte-identical to sequential.
-//! * [`fidelity`] — the switch between per-page and batched page-level
-//!   models ([`ModelFidelity`]), which must agree bit-for-bit.
 //!
 //! Determinism is a design goal: given the same seed, a simulation produces
 //! bit-identical results on every platform. Event ties are broken by
@@ -23,14 +21,12 @@
 
 pub mod check;
 pub mod engine;
-pub mod fidelity;
 pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, EventQueue};
-pub use fidelity::ModelFidelity;
 pub use pool::WorkerPool;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -220,12 +220,11 @@ fn migration_stalls_abort_cleanly_and_replan() {
 }
 
 #[test]
-fn mid_chunk_memserver_crash_charges_only_served_pages() {
-    // Regression: when a memory-server crash lands in the middle of a
-    // batched memtap fetch, the abort must charge the memtap for exactly
-    // the pages the server actually answered. An earlier batched draft
-    // pre-charged the whole chunk, overstating fetch traffic (faults,
-    // raw and compressed bytes) on every crash.
+fn mid_fetch_memserver_crash_charges_only_served_pages() {
+    // Regression: when a memory-server crash lands in the middle of a run
+    // of demand faults, the memtap is charged for exactly the pages the
+    // server answered (faults, raw and compressed bytes). The faults that
+    // errored are serviced once after the restart, never twice.
     use oasis::host::memserver::MsError;
     use oasis::host::{MemoryServer, Memtap};
     use oasis::mem::{ByteSize, PageNum, PAGE_SIZE};
@@ -240,30 +239,45 @@ fn mid_chunk_memserver_crash_charges_only_served_pages() {
     ms.upload(vm, &batch, false).unwrap();
     ms.handoff_to_server().unwrap();
     let mut mt = Memtap::new(vm, LinkSpec::gige(), ms.service_time());
+    let compressed =
+        |pages: &[(PageNum, ByteSize)]| -> ByteSize { pages.iter().map(|&(_, size)| size).sum() };
 
-    // The daemon dies right after its fifth answer, mid-chunk.
+    // The daemon dies right after its fifth answer, mid-run.
     ms.schedule_crash_after(5);
-    let pages: Vec<PageNum> = (0..12).map(PageNum).collect();
-    let fetch = mt.fetch_chunk(&mut ms, &pages);
+    let mut errored = Vec::new();
+    for &(page, _) in &batch {
+        match ms.serve_page(vm, page) {
+            Ok(size) => {
+                mt.service_fault(size);
+            }
+            Err(e) => {
+                assert_eq!(e, MsError::Crashed);
+                errored.push(page);
+            }
+        }
+    }
 
-    assert_eq!(fetch.aborted, Some(MsError::Crashed));
-    assert_eq!(fetch.served.len(), 5, "five answers landed before the crash");
+    assert_eq!(errored, (5..12).map(PageNum).collect::<Vec<_>>(), "five answers landed");
     let stats = mt.stats();
-    assert_eq!(stats.faults, 5, "memtap charged for the served prefix only");
+    assert_eq!(stats.faults, 5, "memtap charged for the served pages only");
     assert_eq!(stats.raw_bytes, ByteSize::bytes(5 * PAGE_SIZE));
-    assert_eq!(stats.compressed_bytes, fetch.compressed());
+    assert_eq!(stats.compressed_bytes, compressed(&batch[..5]));
     assert_eq!(ms.stats().requests, 5, "server counted only answered requests");
-    assert_eq!(ms.in_flight(), 0, "the aborted remainder was reclaimed");
     assert!(ms.is_crashed());
 
-    // After a restart the same chunk completes and the accounting resumes
-    // from the prefix — nothing was double-charged across the crash.
+    // After a restart the errored faults complete and the accounting
+    // resumes from the served pages: nothing is charged twice.
     ms.restart().unwrap();
-    let refetch = mt.fetch_chunk(&mut ms, &pages);
-    assert_eq!(refetch.aborted, None);
-    assert_eq!(refetch.served.len(), 12);
-    assert_eq!(mt.stats().faults, 5 + 12);
-    assert_eq!(ms.stats().requests, 5 + 12);
+    for page in errored {
+        let size = ms.serve_page(vm, page).unwrap();
+        mt.service_fault(size);
+    }
+    let stats = mt.stats();
+    assert_eq!(stats.faults, 12);
+    assert_eq!(stats.raw_bytes, ByteSize::bytes(12 * PAGE_SIZE));
+    assert_eq!(stats.compressed_bytes, compressed(&batch));
+    assert_eq!(ms.stats().requests, 12);
+    assert_eq!(ms.stats().bytes_sent, compressed(&batch));
 }
 
 #[test]

@@ -102,10 +102,64 @@ fn optimizations_only_help() {
     }
 }
 
+/// The twelve simulated times and byte counts of one lab cycle, in the
+/// order and format `oasisbench` digests it (`lab_digest` in
+/// `oasisbench/src/checks.rs`), plus the retry count and retry time of
+/// the consolidated window.
+fn lab_cycle_digest(seed: u64, serve_error_rate: f64) -> (String, u64, SimDuration) {
+    let mut lab =
+        MicroLab::with_options(seed, LabOptions { serve_error_rate, ..LabOptions::default() });
+    lab.prime_os();
+    lab.run_workload(&DesktopWorkload::workload1());
+    lab.idle_wait(SimDuration::from_mins(5));
+    let precopy = lab.full_migrate_baseline();
+    let partial1 = lab.partial_migrate();
+    let idle = lab.consolidated_idle(SimDuration::from_mins(20));
+    let reintegration = lab.reintegrate();
+    let descriptor = lab.traffic.total(TrafficClass::PartialDescriptor);
+    lab.run_workload(&DesktopWorkload::workload2());
+    lab.idle_wait(SimDuration::from_mins(5));
+    let partial2 = lab.partial_migrate();
+    let digest = format!(
+        "precopy={:.6}s partial1={:.6}s upload1={:.6}s uploaded1={} descriptor={}B faults={} \
+         fetched={}B reintegration={:.6}s reintegrated={}B partial2={:.6}s upload2={:.6}s uploaded2={}",
+        precopy.duration.as_secs_f64(),
+        partial1.outcome.total.as_secs_f64(),
+        partial1.outcome.upload_time.as_secs_f64(),
+        partial1.uploaded_pages,
+        descriptor.as_bytes(),
+        idle.faults,
+        idle.fetched.as_bytes(),
+        reintegration.total.as_secs_f64(),
+        reintegration.network_bytes.as_bytes(),
+        partial2.outcome.total.as_secs_f64(),
+        partial2.outcome.upload_time.as_secs_f64(),
+        partial2.uploaded_pages,
+    );
+    (digest, idle.retries, idle.retry_time)
+}
+
+/// Pins the seed-1 lab cycle byte for byte.
+///
+/// The lossless leg is the benchmark's `lab/1` pin, copied verbatim from
+/// `oasisbench/src/golden.rs` (a separate Cargo workspace, so the file
+/// cannot be `include!`d). The lossy leg also pins the memtap's retries.
+/// A reordered per-page RNG draw fails it: drawing the
+/// `CONS_FETCH_FRACTION` coin after the page index in `consolidated_idle`
+/// moves every field from `faults` on.
 #[test]
-fn lab_is_deterministic_per_seed() {
-    let a = run_cycle(9);
-    let b = run_cycle(9);
-    assert_eq!(a.traffic.grand_total(), b.traffic.grand_total());
-    assert_eq!(a.now(), b.now());
+fn lab_cycle_golden() {
+    let (lossless, retries, retry_time) = lab_cycle_digest(1, 0.0);
+    assert_eq!(
+        lossless,
+        "precopy=42.986874s partial1=15.569978s upload1=10.367145s uploaded1=601200 descriptor=16777216B faults=25009 fetched=56849276B reintegration=3.480286s reintegrated=162332672B partial2=7.115631s upload2=1.912798s uploaded2=112548"
+    );
+    assert_eq!((retries, retry_time), (0, SimDuration::ZERO));
+
+    let (lossy, retries, retry_time) = lab_cycle_digest(1, 0.10);
+    assert_eq!(
+        lossy,
+        "precopy=42.986874s partial1=15.569978s upload1=10.367145s uploaded1=601200 descriptor=16777216B faults=24874 fetched=56970227B reintegration=3.483455s reintegrated=162705408B partial2=7.121659s upload2=1.918826s uploaded2=112587"
+    );
+    assert_eq!((retries, retry_time), (2787, SimDuration::from_micros(139_350_000)));
 }
