@@ -1,13 +1,16 @@
 //! Benches for the page-fault servicing path: page table touch, chunk-
-//! allocator frame grab, and the full hypervisor fault+install.
+//! allocator frame grab, the full hypervisor fault+install, and the
+//! memory server's image upload and page serving.
 
 use oasis_bench::timing::{bench, bench_elements};
 use oasis_host::guest::GuestMemoryImage;
 use oasis_host::hypervisor::Hypervisor;
+use oasis_host::MemoryServer;
 use oasis_mem::chunk::ChunkAllocator;
 use oasis_mem::compress::PageMix;
 use oasis_mem::page_table::PageTable;
 use oasis_mem::{ByteSize, MachineFrame, PageNum};
+use oasis_power::MemoryServerProfile;
 use oasis_vm::workload::WorkloadClass;
 use oasis_vm::{Vm, VmId};
 use std::hint::black_box;
@@ -61,6 +64,28 @@ fn main() {
             } else {
                 hv.guest_access(VmId(1), page, true).expect("in range");
             }
+        });
+    }
+
+    {
+        // The §4.4 lab's first upload: its 601,200 touched pages, in
+        // ascending pfn order, into a fresh server's empty image.
+        let image = GuestMemoryImage::new(1, PageMix::desktop(), 1_048_576);
+        let batch: Vec<(PageNum, ByteSize)> =
+            (0..601_200).map(|i| (PageNum(i), image.compressed_size(PageNum(i)))).collect();
+        let profile = MemoryServerProfile::prototype();
+        bench_elements("memserver/upload_first", batch.len() as u64, || {
+            let mut ms = MemoryServer::new(profile);
+            black_box(ms.upload(VmId(1), &batch, false).expect("drive at host"));
+        });
+
+        let mut ms = MemoryServer::new(profile);
+        ms.upload(VmId(1), &batch, false).expect("drive at host");
+        ms.handoff_to_server().expect("drive at host");
+        let mut i = 0u64;
+        bench_elements("memserver/serve_page", 1, || {
+            i = (i + 7_919) % 601_200;
+            black_box(ms.serve_page(VmId(1), PageNum(i)).expect("stored"));
         });
     }
 }

@@ -8,6 +8,7 @@
 //! drive at a time. This module models that protocol plus the two upload
 //! optimizations (per-page compression and differential upload).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use oasis_mem::{ByteSize, PageNum};
@@ -30,6 +31,19 @@ pub enum DriveOwner {
 /// Magic bytes of the drive image index.
 const IMAGE_MAGIC: &[u8; 8] = b"OASISIMG";
 
+/// Pages one VM image may span: stored pfns run `0..MAX_IMAGE_PAGES`.
+///
+/// Images are indexed densely by pfn, so this cap is what bounds the
+/// memory a crafted pfn — in an upload or an on-disk index — can make the
+/// server allocate. 2^24 pages is 64 GiB of guest memory, 16× the paper's
+/// 4 GiB desktop VMs; the largest index it allows is 64 MiB.
+pub const MAX_IMAGE_PAGES: u64 = 1 << 24;
+
+/// Marks a pfn with no stored page in an image's length array. The
+/// on-disk length field is a `u32`, so a page must compress to fewer than
+/// `u32::MAX` bytes to be stored.
+const ABSENT: u32 = u32::MAX;
+
 /// Errors from memory-server operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MsError {
@@ -41,6 +55,10 @@ pub enum MsError {
     UnknownVm(VmId),
     /// The VM's image does not contain this page.
     UnknownPage(VmId, PageNum),
+    /// The page lies at or beyond [`MAX_IMAGE_PAGES`].
+    PageOutOfRange(VmId, PageNum),
+    /// The page's compressed length does not fit the on-disk length field.
+    OversizedPage(VmId, PageNum, ByteSize),
     /// Both sides tried to mount at once.
     DriveBusy,
     /// An on-disk image index failed to parse.
@@ -56,6 +74,12 @@ impl core::fmt::Display for MsError {
             MsError::NotServing => write!(f, "serving daemon not active"),
             MsError::UnknownVm(id) => write!(f, "no memory image for {id}"),
             MsError::UnknownPage(id, p) => write!(f, "{id}: {p:?} not in image"),
+            MsError::PageOutOfRange(id, p) => {
+                write!(f, "{id}: {p:?} beyond the {MAX_IMAGE_PAGES}-page image limit")
+            }
+            MsError::OversizedPage(id, p, size) => {
+                write!(f, "{id}: {p:?} length {size} does not fit the on-disk field")
+            }
             MsError::DriveBusy => write!(f, "drive already mounted elsewhere"),
             MsError::CorruptImage => write!(f, "corrupt on-disk image index"),
             MsError::Crashed => write!(f, "serving daemon crashed"),
@@ -87,6 +111,64 @@ pub struct ServeStats {
     pub bytes_sent: ByteSize,
 }
 
+/// One VM's image on the drive: each stored page's compressed length,
+/// indexed by pfn.
+#[derive(Clone, Debug, Default)]
+struct Image {
+    /// Compressed length by pfn, [`ABSENT`] where no page is stored; only
+    /// as long as the highest pfn stored so far.
+    lens: Vec<u32>,
+    /// Entries of `lens` that are not [`ABSENT`].
+    stored: u64,
+}
+
+impl Image {
+    /// Stores `page` with compressed length `size`, replacing any earlier
+    /// length for it. Rejects a page the dense index cannot hold.
+    fn insert(&mut self, vm: VmId, page: PageNum, size: ByteSize) -> Result<(), MsError> {
+        if page.0 >= MAX_IMAGE_PAGES {
+            return Err(MsError::PageOutOfRange(vm, page));
+        }
+        let len = u32::try_from(size.as_bytes())
+            .ok()
+            .filter(|&len| len != ABSENT)
+            .ok_or(MsError::OversizedPage(vm, page, size))?;
+        let i = page.0 as usize;
+        if i >= self.lens.len() {
+            self.lens.resize(i + 1, ABSENT);
+        }
+        if self.lens[i] == ABSENT {
+            self.stored += 1;
+        }
+        self.lens[i] = len;
+        Ok(())
+    }
+
+    /// The compressed length stored for `page`.
+    fn get(&self, page: PageNum) -> Option<u32> {
+        self.lens.get(page.0 as usize).copied().filter(|&len| len != ABSENT)
+    }
+
+    /// Stored `(pfn, compressed length)` pairs in ascending pfn order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.lens
+            .iter()
+            .enumerate()
+            .filter(|&(_, &len)| len != ABSENT)
+            .map(|(i, &len)| (i as u64, len))
+    }
+
+    /// Total compressed bytes stored.
+    fn bytes(&self) -> u64 {
+        self.iter().map(|(_, len)| u64::from(len)).sum()
+    }
+
+    fn clear(&mut self) {
+        self.lens.clear();
+        self.stored = 0;
+    }
+}
+
 /// The per-host memory server.
 #[derive(Clone, Debug)]
 pub struct MemoryServer {
@@ -97,8 +179,8 @@ pub struct MemoryServer {
     /// Fault-injection fuse: the daemon dies right after this many more
     /// successful serves ([`MemoryServer::schedule_crash_after`]).
     crash_fuse: Option<u64>,
-    /// Per-VM image: page → compressed size on disk.
-    images: BTreeMap<VmId, BTreeMap<u64, u32>>,
+    /// Per-VM image: the compressed size on disk of each stored page.
+    images: BTreeMap<VmId, Image>,
     stats: ServeStats,
     // Serving sits on the guest fault path, so counter handles are cached.
     pages_served: Counter,
@@ -173,14 +255,20 @@ impl MemoryServer {
 
     /// Uploads (writes) pages of a VM's memory image.
     ///
-    /// `pages` carries each page's compressed size. With `differential`
-    /// set, existing entries are overwritten and new ones added without
-    /// rewriting the rest of the image (§4.3's differential upload);
-    /// otherwise the VM's image is replaced wholesale.
+    /// `pages` streams each page with its compressed size. With
+    /// `differential` set, existing entries are overwritten and new ones
+    /// added without rewriting the rest of the image (§4.3's differential
+    /// upload); otherwise the VM's image is replaced wholesale.
+    ///
+    /// A page at or beyond [`MAX_IMAGE_PAGES`] fails with
+    /// [`MsError::PageOutOfRange`], and a compressed size the on-disk
+    /// `u32` length field cannot hold fails with [`MsError::OversizedPage`].
+    /// An upload that fails on a page discards the VM's image, so a
+    /// half-written image is never served.
     pub fn upload(
         &mut self,
         vm: VmId,
-        pages: &[(PageNum, ByteSize)],
+        pages: impl IntoIterator<Item = impl Borrow<(PageNum, ByteSize)>>,
         differential: bool,
     ) -> Result<UploadReceipt, MsError> {
         if self.drive != DriveOwner::Host {
@@ -190,17 +278,23 @@ impl MemoryServer {
         if !differential {
             image.clear();
         }
+        let mut count = 0u64;
         let mut compressed = ByteSize::ZERO;
-        for &(page, size) in pages {
-            image.insert(page.0, size.as_bytes() as u32);
+        for entry in pages {
+            let &(page, size) = entry.borrow();
+            if let Err(e) = image.insert(vm, page, size) {
+                self.images.remove(&vm);
+                return Err(e);
+            }
+            count += 1;
             compressed += size;
         }
-        let raw = ByteSize::bytes(pages.len() as u64 * oasis_mem::PAGE_SIZE);
+        let raw = ByteSize::bytes(count * oasis_mem::PAGE_SIZE);
         let duration = SimDuration::from_secs_f64(
             compressed.as_bytes() as f64 / self.profile.upload_bytes_per_sec,
         );
         self.upload_bytes.add(compressed.as_bytes());
-        Ok(UploadReceipt { pages: pages.len() as u64, raw, compressed, duration })
+        Ok(UploadReceipt { pages: count, raw, compressed, duration })
     }
 
     /// Host detaches; the low-power processor attaches and starts the
@@ -284,7 +378,7 @@ impl MemoryServer {
             return Err(MsError::Crashed);
         }
         let image = self.images.get(&vm).ok_or(MsError::UnknownVm(vm))?;
-        let size = image.get(&page.0).copied().ok_or(MsError::UnknownPage(vm, page))?;
+        let size = image.get(page).ok_or(MsError::UnknownPage(vm, page))?;
         let size = ByteSize::bytes(u64::from(size));
         self.stats.requests += 1;
         self.stats.bytes_sent += size;
@@ -309,30 +403,28 @@ impl MemoryServer {
     ///
     /// Returns the compressed bytes released.
     pub fn remove_vm(&mut self, vm: VmId) -> ByteSize {
-        self.images
-            .remove(&vm)
-            .map(|img| ByteSize::bytes(img.values().map(|&s| u64::from(s)).sum()))
-            .unwrap_or(ByteSize::ZERO)
+        self.images.remove(&vm).map(|img| ByteSize::bytes(img.bytes())).unwrap_or(ByteSize::ZERO)
     }
 
     /// Pages stored for a VM.
     pub fn stored_pages(&self, vm: VmId) -> u64 {
-        self.images.get(&vm).map_or(0, |img| img.len() as u64)
+        self.images.get(&vm).map_or(0, |img| img.stored)
     }
 
     /// Serializes a VM's image index to the on-disk format.
     ///
     /// The drive layout the host and the low-power processor exchange:
     /// a magic header, the vmid, and one `(pfn, compressed length)`
-    /// record per page. Returns `None` for unknown VMs.
+    /// record per page in ascending pfn order. Returns `None` for unknown
+    /// VMs.
     pub fn export_image(&self, vm: VmId) -> Option<Vec<u8>> {
         let image = self.images.get(&vm)?;
-        let mut out = Vec::with_capacity(16 + image.len() * 12);
+        let mut out = Vec::with_capacity(24 + image.stored as usize * 12);
         out.extend_from_slice(IMAGE_MAGIC);
         out.extend_from_slice(&vm.0.to_le_bytes());
         out.extend_from_slice(&[0u8; 4]); // Reserved / alignment.
-        out.extend_from_slice(&(image.len() as u64).to_le_bytes());
-        for (&pfn, &len) in image {
+        out.extend_from_slice(&image.stored.to_le_bytes());
+        for (pfn, len) in image.iter() {
             out.extend_from_slice(&pfn.to_le_bytes());
             out.extend_from_slice(&len.to_le_bytes());
         }
@@ -342,7 +434,10 @@ impl MemoryServer {
     /// Restores a VM's image index from the on-disk format (e.g. after
     /// the low-power processor rebooted and re-attached the drive).
     ///
-    /// Requires the drive mounted at the host, like uploads.
+    /// Requires the drive mounted at the host, like uploads. A record
+    /// repeating an earlier pfn replaces it. A pfn at or beyond
+    /// [`MAX_IMAGE_PAGES`], or a length of `u32::MAX`, makes the index
+    /// [`MsError::CorruptImage`].
     pub fn import_image(&mut self, bytes: &[u8]) -> Result<VmId, MsError> {
         if self.drive != DriveOwner::Host {
             return Err(MsError::DriveNotMounted(self.drive));
@@ -352,16 +447,18 @@ impl MemoryServer {
             return Err(MsError::CorruptImage);
         }
         let vm = VmId(u32::from_le_bytes(bytes[8..12].try_into().map_err(err)?));
-        let count = u64::from_le_bytes(bytes[16..24].try_into().map_err(err)?) as usize;
+        let count = u64::from_le_bytes(bytes[16..24].try_into().map_err(err)?);
         let records = &bytes[24..];
-        if records.len() != count * 12 {
+        if count.checked_mul(12) != Some(records.len() as u64) {
             return Err(MsError::CorruptImage);
         }
-        let mut image = BTreeMap::new();
+        let mut image = Image::default();
         for rec in records.chunks_exact(12) {
             let pfn = u64::from_le_bytes(rec[..8].try_into().map_err(err)?);
             let len = u32::from_le_bytes(rec[8..12].try_into().map_err(err)?);
-            image.insert(pfn, len);
+            image
+                .insert(vm, PageNum(pfn), ByteSize::bytes(u64::from(len)))
+                .map_err(|_| MsError::CorruptImage)?;
         }
         self.images.insert(vm, image);
         Ok(vm)
@@ -369,9 +466,7 @@ impl MemoryServer {
 
     /// Total compressed bytes stored across all images.
     pub fn stored_bytes(&self) -> ByteSize {
-        ByteSize::bytes(
-            self.images.values().flat_map(|img| img.values()).map(|&s| u64::from(s)).sum(),
-        )
+        ByteSize::bytes(self.images.values().map(Image::bytes).sum())
     }
 }
 
@@ -390,7 +485,7 @@ mod tests {
     #[test]
     fn upload_then_serve_protocol() {
         let mut ms = server();
-        let receipt = ms.upload(VmId(1), &pages(0..100, 1_500), false).unwrap();
+        let receipt = ms.upload(VmId(1), pages(0..100, 1_500), false).unwrap();
         assert_eq!(receipt.pages, 100);
         assert_eq!(receipt.compressed, ByteSize::bytes(150_000));
         assert_eq!(receipt.raw, ByteSize::bytes(409_600));
@@ -404,22 +499,22 @@ mod tests {
     #[test]
     fn upload_requires_drive_at_host() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 1_000), false).unwrap();
+        ms.upload(VmId(1), pages(0..10, 1_000), false).unwrap();
         ms.handoff_to_server().unwrap();
         assert!(matches!(
-            ms.upload(VmId(1), &pages(0..10, 1_000), true),
+            ms.upload(VmId(1), pages(0..10, 1_000), true),
             Err(MsError::DriveNotMounted(DriveOwner::Server))
         ));
         // Host must wait for handoff back before re-mounting.
         assert_eq!(ms.mount_at_host(), Err(MsError::DriveBusy));
         ms.handoff_to_host().unwrap();
-        assert!(ms.upload(VmId(1), &pages(0..10, 1_000), true).is_ok());
+        assert!(ms.upload(VmId(1), pages(0..10, 1_000), true).is_ok());
     }
 
     #[test]
     fn differential_upload_overwrites_in_place() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..100, 1_000), false).unwrap();
+        ms.upload(VmId(1), pages(0..100, 1_000), false).unwrap();
         // Differential: 10 dirty pages rewritten, 5 new appended.
         let dirty = pages(0..10, 1_200);
         let new = pages(100..105, 900);
@@ -443,8 +538,8 @@ mod tests {
     #[test]
     fn full_upload_replaces_image() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..100, 1_000), false).unwrap();
-        ms.upload(VmId(1), &pages(50..60, 1_000), false).unwrap();
+        ms.upload(VmId(1), pages(0..100, 1_000), false).unwrap();
+        ms.upload(VmId(1), pages(50..60, 1_000), false).unwrap();
         assert_eq!(ms.stored_pages(VmId(1)), 10);
     }
 
@@ -460,7 +555,7 @@ mod tests {
     #[test]
     fn serve_unknown_vm_and_page() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         assert_eq!(ms.serve_page(VmId(2), PageNum(0)), Err(MsError::UnknownVm(VmId(2))));
         assert_eq!(
@@ -472,8 +567,8 @@ mod tests {
     #[test]
     fn remove_vm_frees_storage() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
-        ms.upload(VmId(2), &pages(0..10, 700), false).unwrap();
+        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(2), pages(0..10, 700), false).unwrap();
         assert_eq!(ms.stored_bytes(), ByteSize::bytes(12_000));
         assert_eq!(ms.remove_vm(VmId(1)), ByteSize::bytes(5_000));
         assert_eq!(ms.stored_bytes(), ByteSize::bytes(7_000));
@@ -483,8 +578,8 @@ mod tests {
     #[test]
     fn image_export_import_round_trips() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..100, 1_500), false).unwrap();
-        ms.upload(VmId(1), &pages(200..210, 900), true).unwrap();
+        ms.upload(VmId(1), pages(0..100, 1_500), false).unwrap();
+        ms.upload(VmId(1), pages(200..210, 900), true).unwrap();
         let blob = ms.export_image(VmId(1)).unwrap();
         assert!(blob.starts_with(b"OASISIMG"));
         assert_eq!(ms.export_image(VmId(9)), None);
@@ -501,7 +596,7 @@ mod tests {
     #[test]
     fn image_import_rejects_corruption() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
         let blob = ms.export_image(VmId(1)).unwrap();
         let mut fresh = server();
         assert_eq!(fresh.import_image(&[]), Err(MsError::CorruptImage));
@@ -520,6 +615,131 @@ mod tests {
             serving.import_image(&blob),
             Err(MsError::DriveNotMounted(DriveOwner::Server))
         ));
+    }
+
+    /// Builds an on-disk index by hand, records in the given order.
+    fn blob(vm: u32, records: &[(u64, u32)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(IMAGE_MAGIC);
+        out.extend_from_slice(&vm.to_le_bytes());
+        out.extend_from_slice(&[0u8; 4]);
+        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for &(pfn, len) in records {
+            out.extend_from_slice(&pfn.to_le_bytes());
+            out.extend_from_slice(&len.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn upload_rejects_length_beyond_on_disk_field() {
+        let mut ms = server();
+        // The length field is a u32: a larger size used to be truncated on
+        // disk while the receipt reported it in full.
+        let big = ByteSize::bytes(u64::from(u32::MAX) + 5);
+        assert_eq!(
+            ms.upload(VmId(4), [(PageNum(1), big)], false),
+            Err(MsError::OversizedPage(VmId(4), PageNum(1), big))
+        );
+        let marker = ByteSize::bytes(u64::from(u32::MAX));
+        assert_eq!(
+            ms.upload(VmId(4), [(PageNum(1), marker)], false),
+            Err(MsError::OversizedPage(VmId(4), PageNum(1), marker))
+        );
+        assert_eq!(ms.stored_bytes(), ByteSize::ZERO, "nothing half-written");
+        let largest = ByteSize::bytes(u64::from(u32::MAX - 1));
+        let receipt = ms.upload(VmId(4), [(PageNum(1), largest)], false).unwrap();
+        assert_eq!(receipt.compressed, largest);
+        assert_eq!(ms.stored_bytes(), largest, "receipt and image agree");
+        ms.handoff_to_server().unwrap();
+        assert_eq!(ms.serve_page(VmId(4), PageNum(1)), Ok(largest));
+    }
+
+    #[test]
+    fn import_with_duplicate_pfns_keeps_the_last_record() {
+        let records = [(9, 700), (2, 1_500), (9, 300), (0, 42), (2, 1_500)];
+        let mut ms = server();
+        assert_eq!(ms.import_image(&blob(3, &records)), Ok(VmId(3)));
+        assert_eq!(ms.stored_pages(VmId(3)), 3, "distinct pfns");
+        assert_eq!(ms.stored_bytes(), ByteSize::bytes(42 + 1_500 + 300));
+        // The export the BTreeMap-backed server produced for this input:
+        // three records in ascending pfn order, pfn 9 holding its last length.
+        #[rustfmt::skip]
+        let expected: [u8; 60] = [
+            79, 65, 83, 73, 83, 73, 77, 71, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0, 220, 5, 0, 0,
+            9, 0, 0, 0, 0, 0, 0, 0, 44, 1, 0, 0,
+        ];
+        assert_eq!(ms.export_image(VmId(3)).unwrap(), expected);
+    }
+
+    #[test]
+    fn image_limit_bounds_upload_and_import() {
+        let last = PageNum(MAX_IMAGE_PAGES - 1);
+        let beyond = PageNum(MAX_IMAGE_PAGES);
+        let mut ms = server();
+        ms.upload(VmId(1), pages(0..4, 500), false).unwrap();
+        let batch = [(PageNum(0), ByteSize::bytes(600)), (beyond, ByteSize::bytes(600))];
+        assert_eq!(ms.upload(VmId(1), batch, true), Err(MsError::PageOutOfRange(VmId(1), beyond)));
+        assert_eq!(ms.stored_pages(VmId(1)), 0, "a failed upload discards the image");
+        assert_eq!(ms.export_image(VmId(1)), None);
+        ms.upload(VmId(1), [(last, ByteSize::bytes(600))], false).unwrap();
+        assert_eq!(ms.stored_pages(VmId(1)), 1);
+        ms.remove_vm(VmId(1));
+
+        let mut fresh = server();
+        assert_eq!(fresh.import_image(&blob(2, &[(beyond.0, 10)])), Err(MsError::CorruptImage));
+        assert_eq!(fresh.import_image(&blob(2, &[(u64::MAX, 10)])), Err(MsError::CorruptImage));
+        assert_eq!(fresh.stored_pages(VmId(2)), 0);
+        assert_eq!(fresh.import_image(&blob(2, &[(last.0, 10)])), Ok(VmId(2)));
+        fresh.handoff_to_server().unwrap();
+        assert_eq!(fresh.serve_page(VmId(2), last), Ok(ByteSize::bytes(10)));
+    }
+
+    #[test]
+    fn import_rejects_absent_marker_and_overflowing_count() {
+        let mut ms = server();
+        assert_eq!(ms.import_image(&blob(2, &[(0, u32::MAX)])), Err(MsError::CorruptImage));
+        let mut huge = blob(2, &[]);
+        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(ms.import_image(&huge), Err(MsError::CorruptImage));
+    }
+
+    #[test]
+    fn differential_upload_grows_past_the_image_end() {
+        let mut ms = server();
+        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
+        let batch: Vec<_> = pages(5..8, 800).into_iter().chain(pages(1_000..1_003, 900)).collect();
+        let receipt = ms.upload(VmId(1), &batch, true).unwrap();
+        assert_eq!(receipt.pages, 6);
+        assert_eq!(ms.stored_pages(VmId(1)), 13);
+        assert_eq!(ms.stored_bytes(), ByteSize::bytes(7 * 500 + 3 * 800 + 3 * 900));
+        ms.handoff_to_server().unwrap();
+        assert_eq!(ms.serve_page(VmId(1), PageNum(4)), Ok(ByteSize::bytes(500)));
+        assert_eq!(ms.serve_page(VmId(1), PageNum(6)), Ok(ByteSize::bytes(800)));
+        assert_eq!(ms.serve_page(VmId(1), PageNum(1_002)), Ok(ByteSize::bytes(900)));
+        assert_eq!(
+            ms.serve_page(VmId(1), PageNum(500)),
+            Err(MsError::UnknownPage(VmId(1), PageNum(500))),
+            "the gap grown over stays absent"
+        );
+        let exported = ms.export_image(VmId(1)).unwrap();
+        let pfns: Vec<u64> = exported[24..]
+            .chunks_exact(12)
+            .map(|rec| u64::from_le_bytes(rec[..8].try_into().unwrap()))
+            .collect();
+        assert_eq!(pfns, (0..10).chain(1_000..1_003).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn upload_streams_from_an_iterator() {
+        let mut ms = server();
+        let stream = (0..50u64).map(|i| (PageNum(i * 2), ByteSize::bytes(100 + i)));
+        let receipt = ms.upload(VmId(1), stream, false).unwrap();
+        assert_eq!(receipt.pages, 50);
+        assert_eq!(receipt.compressed, ByteSize::bytes((100..150).sum()));
+        assert_eq!(ms.stored_bytes(), receipt.compressed);
     }
 
     #[test]
@@ -547,7 +767,7 @@ mod tests {
     #[test]
     fn serve_after_crash_errors_until_restart() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         ms.crash();
         assert!(ms.is_crashed());
@@ -563,7 +783,7 @@ mod tests {
     #[test]
     fn crash_fuse_fires_after_exact_serve_count() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         ms.schedule_crash_after(2);
         assert!(ms.serve_page(VmId(1), PageNum(0)).is_ok());
@@ -582,7 +802,7 @@ mod tests {
     #[test]
     fn zero_fuse_crashes_before_answering() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         ms.schedule_crash_after(0);
         assert_eq!(ms.serve_page(VmId(1), PageNum(0)), Err(MsError::Crashed));
@@ -593,7 +813,7 @@ mod tests {
     #[test]
     fn host_reclaims_drive_from_crashed_daemon() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         ms.crash();
         // The woken host takes the drive back and the crashed flag clears.

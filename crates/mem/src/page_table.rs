@@ -3,10 +3,10 @@
 //! When the host agent creates a partial VM it builds page tables whose
 //! entries are marked absent, so any access faults and memtap fetches the
 //! page from the memory server (§4.2). This module models that structure:
-//! present/accessed/dirty bits per page plus a sparse map of backing
-//! machine frames for resident pages.
-
-use std::collections::BTreeMap;
+//! present/accessed/dirty bits per page plus a dense, pfn-indexed array of
+//! the machine frames backing installed pages. The array grows lazily to
+//! the highest installed pfn, so a resident table that never installs a
+//! page allocates no frame storage.
 
 use crate::addr::{size_of_pages, MachineFrame, PageNum};
 use crate::bitmap::Bitmap;
@@ -28,6 +28,9 @@ pub enum PageTableError {
     OutOfRange(PageNum),
     /// Installing a page that is already present.
     AlreadyPresent(PageNum),
+    /// The frame number is the table's reserved "no frame" marker, which
+    /// no chunk allocator can hand out.
+    ReservedFrame(MachineFrame),
 }
 
 impl core::fmt::Display for PageTableError {
@@ -35,11 +38,18 @@ impl core::fmt::Display for PageTableError {
         match self {
             PageTableError::OutOfRange(p) => write!(f, "{p:?} beyond VM allocation"),
             PageTableError::AlreadyPresent(p) => write!(f, "{p:?} already present"),
+            PageTableError::ReservedFrame(m) => write!(f, "{m:?} is reserved"),
         }
     }
 }
 
 impl std::error::Error for PageTableError {}
+
+/// Marks a pfn with no installed frame in [`PageTable`]'s frame array.
+///
+/// A chunk allocator over a `u64` byte capacity hands out frames below
+/// `u64::MAX / PAGE_SIZE`, so no real frame can collide with it.
+const NO_FRAME: u64 = u64::MAX;
 
 /// A VM's pseudo-physical page table.
 #[derive(Clone, Debug)]
@@ -47,7 +57,9 @@ pub struct PageTable {
     present: Bitmap,
     accessed: Bitmap,
     dirty: Bitmap,
-    frames: BTreeMap<u64, MachineFrame>,
+    /// Backing frame by pfn, [`NO_FRAME`] where none is installed; only
+    /// as long as the highest pfn installed so far.
+    frames: Vec<u64>,
 }
 
 impl PageTable {
@@ -62,7 +74,7 @@ impl PageTable {
             present,
             accessed: Bitmap::new(num_pages as usize),
             dirty: Bitmap::new(num_pages as usize),
-            frames: BTreeMap::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -72,7 +84,7 @@ impl PageTable {
             present: Bitmap::new(num_pages as usize),
             accessed: Bitmap::new(num_pages as usize),
             dirty: Bitmap::new(num_pages as usize),
-            frames: BTreeMap::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -135,14 +147,23 @@ impl PageTable {
     }
 
     /// Installs a fetched page into `frame`, completing a fault.
+    ///
+    /// `MachineFrame(u64::MAX)` is the frame array's absent marker and is
+    /// rejected with [`PageTableError::ReservedFrame`].
     pub fn install(&mut self, page: PageNum, frame: MachineFrame) -> Result<(), PageTableError> {
         let i = self.check_range(page)?;
         if self.present.get(i) {
             return Err(PageTableError::AlreadyPresent(page));
         }
+        if frame.0 == NO_FRAME {
+            return Err(PageTableError::ReservedFrame(frame));
+        }
         self.present.set(i);
         self.accessed.set(i);
-        self.frames.insert(page.0, frame);
+        if i >= self.frames.len() {
+            self.frames.resize(i + 1, NO_FRAME);
+        }
+        self.frames[i] = frame.0;
         Ok(())
     }
 
@@ -152,12 +173,13 @@ impl PageTable {
         self.present.clear(i);
         self.accessed.clear(i);
         self.dirty.clear(i);
-        Ok(self.frames.remove(&page.0))
+        let frame = self.frames.get_mut(i).map(|f| std::mem::replace(f, NO_FRAME));
+        Ok(frame.filter(|&f| f != NO_FRAME).map(MachineFrame))
     }
 
     /// The machine frame backing a resident page, if assigned.
     pub fn frame_of(&self, page: PageNum) -> Option<MachineFrame> {
-        self.frames.get(&page.0).copied()
+        self.frames.get(page.0 as usize).copied().filter(|&f| f != NO_FRAME).map(MachineFrame)
     }
 
     /// Pages dirtied since the last call; clears the dirty bits.
@@ -276,6 +298,30 @@ mod tests {
         let mut pt = PageTable::new_resident(30);
         pt.mark_all_dirty();
         assert_eq!(pt.take_dirty().len(), 30);
+    }
+
+    #[test]
+    fn reserved_frame_rejected() {
+        let mut pt = PageTable::new_absent(10);
+        let reserved = MachineFrame(u64::MAX);
+        assert_eq!(pt.install(PageNum(3), reserved), Err(PageTableError::ReservedFrame(reserved)));
+        assert!(!pt.is_present(PageNum(3)), "a rejected install changes nothing");
+        pt.install(PageNum(3), MachineFrame(u64::MAX - 1)).unwrap();
+        assert_eq!(pt.frame_of(PageNum(3)), Some(MachineFrame(u64::MAX - 1)));
+    }
+
+    #[test]
+    fn frames_grow_only_on_install() {
+        let mut pt = PageTable::new_resident(1_000);
+        pt.touch(PageNum(999), true).unwrap();
+        assert_eq!(pt.frames.capacity(), 0, "a resident table stores no frames");
+        assert_eq!(pt.evict(PageNum(999)), Ok(None));
+        assert_eq!(pt.frame_of(PageNum(u64::MAX)), None);
+        pt.install(PageNum(999), MachineFrame(7)).unwrap();
+        assert_eq!(pt.frames.len(), 1_000);
+        assert_eq!(pt.frame_of(PageNum(998)), None);
+        assert_eq!(pt.evict(PageNum(999)), Ok(Some(MachineFrame(7))));
+        assert_eq!(pt.frame_of(PageNum(999)), None);
     }
 
     #[test]

@@ -80,9 +80,9 @@ impl WorkingSetTracker {
         self.touched.clear_all();
     }
 
-    /// The touched pages, ascending.
-    pub fn pages(&self) -> Vec<PageNum> {
-        self.touched.iter_ones().map(|i| PageNum(i as u64)).collect()
+    /// Iterates over the touched pages, ascending.
+    pub fn pages(&self) -> impl Iterator<Item = PageNum> + '_ {
+        self.touched.iter_ones().map(|i| PageNum(i as u64))
     }
 }
 
@@ -139,7 +139,7 @@ mod tests {
         assert!(t.touch(PageNum(2)));
         assert_eq!(t.unique_pages(), 2);
         assert_eq!(t.size(), ByteSize::bytes(8_192));
-        assert_eq!(t.pages(), vec![PageNum(1), PageNum(2)]);
+        assert_eq!(t.pages().collect::<Vec<_>>(), vec![PageNum(1), PageNum(2)]);
         t.reset();
         assert_eq!(t.unique_pages(), 0);
         assert!(!t.touch(PageNum(5_000)), "out of range ignored");

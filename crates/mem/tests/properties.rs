@@ -3,12 +3,13 @@
 //! Uses the in-tree [`oasis_sim::check`] harness so the suite runs with
 //! no external dependencies.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use oasis_mem::bitmap::Bitmap;
+use oasis_mem::chunk::FRAMES_PER_CHUNK;
 use oasis_mem::compress::{compress, decompress, PageClass};
-use oasis_mem::page_table::{Access, PageTable};
-use oasis_mem::{ByteSize, MachineFrame, PageNum};
+use oasis_mem::page_table::{Access, PageTable, PageTableError};
+use oasis_mem::{ByteSize, MachineFrame, PageNum, PAGE_SIZE};
 use oasis_sim::check::{run, Gen};
 
 /// The codec is lossless for arbitrary byte strings.
@@ -119,6 +120,85 @@ fn page_table_state_machine() {
                     present.remove(&p.0);
                 }
             }
+        }
+        assert_eq!(pt.present_count(), present.len() as u64);
+    });
+}
+
+/// The page table's frame store behaves exactly like a
+/// `BTreeMap<pfn, MachineFrame>` of installed pages under random
+/// `install` / `evict` / `frame_of` / `present_pages` sequences, on
+/// absent and resident tables, with pfns at both ends of the table (and
+/// just past it) and frames up to the highest one a chunk allocator can
+/// hand out. Catches, for example, an `evict` that returns the frame
+/// without clearing its slot (the next `frame_of` still reports it).
+#[test]
+fn page_table_frames_match_map_model() {
+    // A chunk allocator over the largest `u64` capacity ends here.
+    let top_frame = u64::MAX / (FRAMES_PER_CHUNK * PAGE_SIZE) * FRAMES_PER_CHUNK - 1;
+    run(64, |g: &mut Gen| {
+        let pages = g.u64_in(1, 3_000);
+        let resident = g.bool();
+        let mut pt =
+            if resident { PageTable::new_resident(pages) } else { PageTable::new_absent(pages) };
+        let mut present: BTreeSet<u64> =
+            if resident { (0..pages).collect() } else { BTreeSet::new() };
+        let mut frames: BTreeMap<u64, MachineFrame> = BTreeMap::new();
+        let ops = g.vec(0, 300, |g| g.u64_in(0, 5));
+        for op in ops {
+            let p = match g.u64_in(0, 4) {
+                0 => 0,
+                1 => pages - 1,
+                2 => pages,
+                _ => g.u64_in(0, pages),
+            };
+            let page = PageNum(p);
+            match op {
+                0 => {
+                    let frame = MachineFrame(match g.u64_in(0, 3) {
+                        0 => top_frame - g.u64_in(0, 2),
+                        1 => g.u64_in(0, FRAMES_PER_CHUNK * 4),
+                        _ => g.u64_in(0, top_frame + 1),
+                    });
+                    let expect = if p >= pages {
+                        Err(PageTableError::OutOfRange(page))
+                    } else if present.contains(&p) {
+                        Err(PageTableError::AlreadyPresent(page))
+                    } else {
+                        present.insert(p);
+                        frames.insert(p, frame);
+                        Ok(())
+                    };
+                    assert_eq!(pt.install(page, frame), expect);
+                }
+                1 => {
+                    let expect = if p >= pages {
+                        Err(PageTableError::OutOfRange(page))
+                    } else {
+                        present.remove(&p);
+                        Ok(frames.remove(&p))
+                    };
+                    assert_eq!(pt.evict(page), expect);
+                }
+                2 => assert_eq!(pt.frame_of(page), frames.get(&p).copied()),
+                3 => {
+                    let got: Vec<u64> = pt.present_pages().map(|p| p.0).collect();
+                    assert_eq!(got, present.iter().copied().collect::<Vec<_>>());
+                }
+                _ => {
+                    // The absent marker is never accepted as a frame.
+                    let reserved = MachineFrame(u64::MAX);
+                    if p < pages && !present.contains(&p) {
+                        assert_eq!(
+                            pt.install(page, reserved),
+                            Err(PageTableError::ReservedFrame(reserved))
+                        );
+                    }
+                }
+            }
+        }
+        for p in 0..=pages {
+            assert_eq!(pt.frame_of(PageNum(p)), frames.get(&p).copied(), "pfn {p}");
         }
         assert_eq!(pt.present_count(), present.len() as u64);
     });

@@ -301,37 +301,30 @@ impl MicroLab {
         self.drain_home_dirty();
 
         // Choose the upload set: everything touched for the first upload,
-        // only dirty-since-upload afterwards (differential, §4.3).
+        // only dirty-since-upload afterwards (differential, §4.3). Pages
+        // stream to the memory server with their sizes as they are chosen.
         let differential = self.uploaded_once && self.options.differential_upload;
-        let (upload_pages, extra_zero_cost) = if differential {
-            (std::mem::take(&mut self.home_dirty_since_upload), ByteSize::ZERO)
-        } else {
-            let hosted = self.home.hypervisor.vm(self.vm_id).expect("vm at home");
-            let touched = hosted.wss.pages();
-            let untouched = self.image.num_pages() - touched.len() as u64;
-            self.home_dirty_since_upload.clear();
-            let zero_cost = if self.options.compression {
-                self.zero_page_cost
-            } else {
-                ByteSize::bytes(PAGE_SIZE)
-            };
-            (touched, zero_cost * untouched)
+        let compression = self.options.compression;
+        let image = &self.image;
+        let sized = |p: PageNum| {
+            let size =
+                if compression { image.compressed_size(p) } else { ByteSize::bytes(PAGE_SIZE) };
+            (p, size)
         };
-
-        let batch: Vec<(PageNum, ByteSize)> = upload_pages
-            .iter()
-            .map(|&p| {
-                let size = if self.options.compression {
-                    self.image.compressed_size(p)
-                } else {
-                    ByteSize::bytes(PAGE_SIZE)
-                };
-                (p, size)
-            })
-            .collect();
+        let hosted = self.home.hypervisor.vm(self.vm_id).expect("vm at home");
         let ms = self.home.memserver.as_mut().expect("home has a memory server");
         ms.mount_at_host().expect("drive free");
-        let receipt = ms.upload(self.vm_id, &batch, differential).expect("upload");
+        let (receipt, extra_zero_cost) = if differential {
+            let dirty = std::mem::take(&mut self.home_dirty_since_upload);
+            (ms.upload(self.vm_id, dirty.into_iter().map(sized), true), ByteSize::ZERO)
+        } else {
+            self.home_dirty_since_upload.clear();
+            let untouched = image.num_pages() - hosted.wss.unique_pages();
+            let zero_cost =
+                if compression { self.zero_page_cost } else { ByteSize::bytes(PAGE_SIZE) };
+            (ms.upload(self.vm_id, hosted.wss.pages().map(sized), false), zero_cost * untouched)
+        };
+        let receipt = receipt.expect("upload");
         ms.handoff_to_server().expect("handoff");
         self.uploaded_once = true;
 
