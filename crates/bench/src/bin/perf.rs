@@ -1,49 +1,58 @@
 //! Macro-benchmark: the simulator's wall-clock baseline.
 //!
-//! Times two representative workloads and writes a machine-readable
-//! report so the perf trajectory has a committed baseline and CI can
-//! catch regressions:
+//! Times representative workloads and writes a machine-readable report
+//! so the perf trajectory has a committed baseline and CI can catch
+//! regressions:
 //!
 //! * **day** — one full simulated day (FulltoPartial, weekday, 4
 //!   consolidation hosts), reported as wall seconds and simulated
 //!   seconds per wall second;
-//! * **paper day** — one §5.1-scale day (30 homes × 30 VMs) with a
-//!   per-phase wall breakdown from [`DayPhases`]. This workload always
-//!   runs at paper scale regardless of `OASIS_PERF_SCALE`: it is the
-//!   throughput the paper reproduction actually cares about, and at
-//!   ~tens of milliseconds warm it is cheap enough for every CI run.
-//!   An untimed warmup day fills the process-wide trace-sampling cache
-//!   first, so the timed day measures steady state;
+//! * **paper day** — one §5.1-scale day (30 homes × 30 VMs) with the
+//!   span profiler attached. Its per-phase wall breakdown is read off
+//!   the profile tree: a `construct` scope that `perf` opens around
+//!   `ClusterSim::new`, and the `run_day` phase scopes below it. This
+//!   workload always runs at paper scale regardless of
+//!   `OASIS_PERF_SCALE`: it is the throughput the paper reproduction
+//!   actually cares about, and at ~tens of milliseconds warm it is
+//!   cheap enough for every CI run. An unprofiled warmup day fills the
+//!   process-wide trace-sampling cache first, so the timed day measures
+//!   steady state;
 //! * **sweep** — a figure8-style sweep (every figure-8 policy × the
 //!   consolidation-host axis × `OASIS_RUNS` seeds), run once on one
-//!   worker and once on `OASIS_JOBS` workers (default 4), reported as
-//!   wall seconds, simulations per second, and parallel speedup;
+//!   worker and once on `OASIS_JOBS` workers, each leg from a cold
+//!   trace cache, reported as wall seconds, simulations per second, and
+//!   parallel speedup;
 //! * **datacenter day** — the sharded multi-rack tier (`day_dc_*`
 //!   keys): a `Scale::DATACENTER`-shape day across `OASIS_DC_RACKS`
 //!   racks (default 5,000 ≈ 25k hosts / 200k VMs) with the global epoch
 //!   planner, run on the parallel pool and sequentially for the
 //!   rack-parallel speedup, with per-rack wall percentiles.
 //!
+//! The report opens with its provenance: `nproc`, the CPU model and
+//! `rustc -V`.
+//!
 //! Environment: `OASIS_PERF_SCALE=paper|smoke` picks the cluster scale
 //! (default `smoke`, the committed-baseline configuration), `OASIS_RUNS`
 //! the seeds per sweep point (default 5), `OASIS_JOBS` the parallel
-//! worker count (default 4), `OASIS_DC_RACKS` the datacenter rack count,
-//! and `OASIS_PERF_OUT` the report path (default `BENCH_sim.json`).
+//! worker count (default `min(4, nproc)`; a count above `nproc` is
+//! refused), `OASIS_DC_RACKS` the datacenter rack count, and
+//! `OASIS_PERF_OUT` the report path (default `BENCH_sim.json`).
 //!
 //! `perf --check <baseline.json>` re-runs the bench and exits non-zero
-//! if either throughput drops below half the baseline's (a >2x
-//! regression), which is what CI's bench-smoke job enforces.
+//! if a throughput drops below half the baseline's (a >2x regression)
+//! or a paper-day phase breakdown does not re-sum to its wall, which is
+//! what CI's bench-smoke job enforces.
 
 use oasis_bench::timing::{monotonic_secs, wall};
 use oasis_bench::{outln, runs, Reporter};
 use oasis_cluster::experiments::{figure8_at, run_one_at, Scale, CONS_SWEEP};
 use oasis_cluster::shard::{run_datacenter_day, DatacenterConfig, PlannerScope};
-use oasis_cluster::{ClusterConfig, ClusterSim, DayPhases};
+use oasis_cluster::{ClusterConfig, ClusterSim};
 use oasis_core::PolicyKind;
 use oasis_sim::pool::JOBS_ENV;
 use oasis_sim::WorkerPool;
-use oasis_telemetry::{Level, Telemetry};
-use oasis_trace::DayKind;
+use oasis_telemetry::{Level, ProfileTree, Telemetry};
+use oasis_trace::{clear_trace_cache, DayKind};
 
 /// Simulated seconds in the day workload (288 five-minute intervals).
 const DAY_SIM_SECS: f64 = 86_400.0;
@@ -61,21 +70,51 @@ fn dc_budget_secs(racks: u32) -> f64 {
     10.0 + 0.004 * f64::from(racks)
 }
 
+/// The paper day's phase keys (`day_paper_<key>_secs`) and the profile
+/// tree path each one reads its total wall from.
+const PAPER_PHASES: [(&str, &[&str]); 6] = [
+    ("construct", &["construct"]),
+    ("fault", &["run_day", "fault_service"]),
+    ("activation", &["run_day", "activation"]),
+    ("planner", &["run_day", "planner"]),
+    ("fetch", &["run_day", "fetch"]),
+    ("accounting", &["run_day", "accounting"]),
+];
+
+/// Total wall seconds of the tree node at `path`. A missing node is a
+/// renamed or dropped scope, which would silently zero its phase key.
+fn node_wall_secs(tree: &ProfileTree, path: &[&str]) -> f64 {
+    let mut level = &tree.roots;
+    let mut total_ns = 0;
+    for name in path {
+        let node = level.iter().find(|n| n.name == *name).unwrap_or_else(|| {
+            panic!("the paper day's profile tree has no `{}` scope", path.join(";"))
+        });
+        total_ns = node.total_wall_ns;
+        level = &node.children;
+    }
+    total_ns as f64 / 1e9
+}
+
 /// Wall-clock throughput measurements for one perf run.
 struct PerfReport {
     scale_name: String,
+    nproc: usize,
+    cpu: String,
+    rustc: String,
     jobs: usize,
     sweep_sims: usize,
     day_wall_secs: f64,
     day_sim_secs_per_sec: f64,
     day_paper_wall_secs: f64,
     day_paper_sim_secs_per_sec: f64,
-    day_paper_phases: DayPhases,
-    /// Bracketed wall not captured by any phase bucket (loop overhead,
+    /// Profile-tree wall seconds per [`PAPER_PHASES`] entry.
+    day_paper_phases: [f64; PAPER_PHASES.len()],
+    /// Bracketed wall not captured by any phase node (loop overhead,
     /// report assembly); closes the books so phases + other ≈ total.
     day_paper_other_secs: f64,
-    /// Fraction of a profiled paper day's bracketed wall covered by the
-    /// span profiler's `run_day` tree.
+    /// Fraction of the paper day's bracketed wall covered by the
+    /// profile tree's top-level scopes.
     day_paper_span_coverage: f64,
     sweep_seq_wall_secs: f64,
     sweep_par_wall_secs: f64,
@@ -102,14 +141,16 @@ struct PerfReport {
 
 impl PerfReport {
     fn to_json(&self) -> String {
+        let mut phases = String::new();
+        for ((key, _), secs) in PAPER_PHASES.iter().zip(self.day_paper_phases) {
+            phases.push_str(&format!("  \"day_paper_{key}_secs\": {secs:.4},\n"));
+        }
         format!(
-            "{{\n  \"bench\": \"perf\",\n  \"scale\": \"{}\",\n  \"jobs\": {},\n  \
+            "{{\n  \"bench\": \"perf\",\n  \"nproc\": {},\n  \"cpu\": \"{}\",\n  \
+             \"rustc\": \"{}\",\n  \"scale\": \"{}\",\n  \"jobs\": {},\n  \
              \"sweep_sims\": {},\n  \"day_wall_secs\": {:.4},\n  \
              \"day_sim_secs_per_sec\": {:.1},\n  \"day_paper_wall_secs\": {:.4},\n  \
-             \"day_paper_sim_secs_per_sec\": {:.1},\n  \"day_paper_trace_secs\": {:.4},\n  \
-             \"day_paper_construct_secs\": {:.4},\n  \"day_paper_fault_secs\": {:.4},\n  \
-             \"day_paper_activation_secs\": {:.4},\n  \"day_paper_planner_secs\": {:.4},\n  \
-             \"day_paper_fetch_secs\": {:.4},\n  \"day_paper_accounting_secs\": {:.4},\n  \
+             \"day_paper_sim_secs_per_sec\": {:.1},\n{phases}  \
              \"day_paper_other_secs\": {:.4},\n  \"day_paper_span_coverage\": {:.4},\n  \
              \"sweep_seq_wall_secs\": {:.4},\n  \
              \"sweep_par_wall_secs\": {:.4},\n  \"sweep_seq_sims_per_sec\": {:.3},\n  \
@@ -120,6 +161,9 @@ impl PerfReport {
              \"day_dc_speedup\": {:.2},\n  \"day_dc_rack_p50_secs\": {:.6},\n  \
              \"day_dc_rack_p99_secs\": {:.6},\n  \
              \"day_dc_rebalance_grants\": {},\n  \"day_dc_budget_secs\": {:.4}\n}}\n",
+            self.nproc,
+            json_escape(&self.cpu),
+            json_escape(&self.rustc),
             self.scale_name,
             self.jobs,
             self.sweep_sims,
@@ -127,13 +171,6 @@ impl PerfReport {
             self.day_sim_secs_per_sec,
             self.day_paper_wall_secs,
             self.day_paper_sim_secs_per_sec,
-            self.day_paper_phases.trace_sampling_secs,
-            self.day_paper_phases.construct_secs,
-            self.day_paper_phases.fault_service_secs,
-            self.day_paper_phases.activation_secs,
-            self.day_paper_phases.planner_secs,
-            self.day_paper_phases.fetch_secs,
-            self.day_paper_phases.accounting_secs,
             self.day_paper_other_secs,
             self.day_paper_span_coverage,
             self.sweep_seq_wall_secs,
@@ -154,6 +191,46 @@ impl PerfReport {
             self.day_dc_rebalance_grants,
             dc_budget_secs(self.day_dc_racks),
         )
+    }
+}
+
+/// Escapes `"` and `\\` for a JSON string body.
+fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// The CPU model from `/proc/cpuinfo`, or `unknown`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .unwrap_or_default()
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map_or("unknown".to_string(), |m| m.trim().to_string())
+}
+
+/// The first line of `rustc -V`, or `unknown`.
+fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8_lossy(&out.stdout).lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Parallel workers: `OASIS_JOBS` if set, else `min(4, nproc)`. A count
+/// above `nproc` is refused, because oversubscribed workers measure the
+/// scheduler rather than the simulator.
+fn jobs_from_env(nproc: usize) -> Result<usize, String> {
+    let Ok(v) = std::env::var(JOBS_ENV) else { return Ok(nproc.min(4)) };
+    match v.parse::<usize>() {
+        Ok(0) | Err(_) => Err(format!("invalid {JOBS_ENV} {v:?} (positive worker count)")),
+        Ok(n) if n > nproc => {
+            Err(format!("{JOBS_ENV}={n} exceeds nproc = {nproc}; refusing to oversubscribe"))
+        }
+        Ok(n) => Ok(n),
     }
 }
 
@@ -183,16 +260,18 @@ fn scale_from_env() -> (Scale, String) {
 fn run_perf(out: &Reporter) -> PerfReport {
     let (scale, scale_name) = scale_from_env();
     let runs = runs();
-    let jobs = std::env::var(JOBS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let jobs = jobs_from_env(nproc).unwrap_or_else(|err| {
+        eprintln!("perf: {err}");
+        std::process::exit(2);
+    });
+    let (cpu, rustc) = (cpu_model(), rustc_version());
     let sweep_sims = PolicyKind::FIGURE8.len() * CONS_SWEEP.len() * runs as usize;
 
     out.banner("perf", "macro-benchmark: day + figure8-style sweep");
     outln!(out, "(scale {scale_name}: {} homes × {} VMs;", scale.home_hosts, scale.vms_per_host);
     outln!(out, " {runs} runs per sweep point; {jobs} parallel workers)");
+    outln!(out, "(nproc {nproc}; {cpu}; {rustc})");
 
     // Workload 1: one full simulated day.
     let (_, day_wall_secs) =
@@ -203,57 +282,42 @@ fn run_perf(out: &Reporter) -> PerfReport {
 
     // Workload 1b: the §5.1 rack, profiled per phase. Always run at
     // paper scale — this is the number the reproduction is judged on.
-    // The untimed warmup day fills the process-wide trace-sampling
-    // cache so the timed day measures the warm steady state; the phase
-    // clock never feeds back into the simulation, so the profiled run
-    // is byte-identical to a plain `run_day`.
+    // The unprofiled warmup day fills the process-wide trace-sampling
+    // cache so the timed day measures the warm steady state. The
+    // profiler's bus filters events at Warn and has no sinks, so the
+    // cost measured is the simulator plus the profiler itself; the
+    // profiler never feeds back into the simulation, so the profiled
+    // run is byte-identical to a plain `run_day`.
     let paper_cfg = || ClusterConfig::builder().seed(1).build().expect("valid §5.1 configuration");
     ClusterSim::new(paper_cfg()).run_day();
-    let mut day_paper_phases = DayPhases::default();
+    let telemetry = Telemetry::new(Level::Warn);
     let (_, day_paper_wall_secs) = wall(|| {
-        ClusterSim::new_timed(paper_cfg(), &monotonic_secs, &mut day_paper_phases)
-            .run_day_timed(&monotonic_secs, &mut day_paper_phases)
+        let construct = telemetry.profile("construct");
+        let mut sim = ClusterSim::new(paper_cfg());
+        construct.end();
+        sim.attach_telemetry(telemetry.clone());
+        sim.run_day()
     });
+    let tree = telemetry.profiler().snapshot();
+    let day_paper_phases = PAPER_PHASES.map(|(_, path)| node_wall_secs(&tree, path));
+    let phases_secs: f64 = day_paper_phases.iter().sum();
+    let day_paper_other_secs = (day_paper_wall_secs - phases_secs).max(0.0);
+    let day_paper_span_coverage = tree.total_wall_ns() as f64 / 1e9 / day_paper_wall_secs;
     let day_paper_sim_secs_per_sec = DAY_SIM_SECS / day_paper_wall_secs;
     outln!(
         out,
-        "paper:  {day_paper_wall_secs:>8.3}s wall   {day_paper_sim_secs_per_sec:>10.0} sim-secs/sec  (30×30 rack, warm)"
+        "paper:  {day_paper_wall_secs:>8.3}s wall   {day_paper_sim_secs_per_sec:>10.0} sim-secs/sec  (30×30 rack, warm, profiled)"
+    );
+    let [construct, fault, activation, planner, fetch, accounting] = day_paper_phases;
+    outln!(
+        out,
+        "        construct {construct:.4}s  fault {fault:.4}s  activation {activation:.4}s  planner {planner:.4}s"
     );
     outln!(
         out,
-        "        trace {:.4}s  construct {:.4}s  fault {:.4}s  activation {:.4}s",
-        day_paper_phases.trace_sampling_secs,
-        day_paper_phases.construct_secs,
-        day_paper_phases.fault_service_secs,
-        day_paper_phases.activation_secs
+        "        fetch {fetch:.4}s  accounting {accounting:.4}s  other {day_paper_other_secs:.4}s  (phases+other {:.4}s)",
+        phases_secs + day_paper_other_secs
     );
-    let day_paper_other_secs = (day_paper_wall_secs - day_paper_phases.total_secs()).max(0.0);
-    outln!(
-        out,
-        "        planner {:.4}s  fetch {:.4}s  accounting {:.4}s  other {:.4}s  (phases+other {:.4}s)",
-        day_paper_phases.planner_secs,
-        day_paper_phases.fetch_secs,
-        day_paper_phases.accounting_secs,
-        day_paper_other_secs,
-        day_paper_phases.total_secs() + day_paper_other_secs
-    );
-    out.sample("day_paper", (day_paper_wall_secs * 1e9) as u64, 1);
-
-    // Workload 1c: the same paper day with the hierarchical span
-    // profiler attached (events filtered at Warn, no sinks — the cost
-    // measured is the profiler itself). The tree's wall self-times must
-    // account for the bracketed wall of the run they cover.
-    let telemetry = Telemetry::new(Level::Warn);
-    let mut profiled = ClusterSim::new(paper_cfg());
-    profiled.attach_telemetry(telemetry.clone());
-    let (_, profiled_wall_secs) = wall(move || profiled.run_day());
-    let tree = telemetry.profiler().snapshot();
-    let day_paper_span_coverage = if profiled_wall_secs > 0.0 {
-        tree.total_wall_ns() as f64 / 1e9 / profiled_wall_secs
-    } else {
-        0.0
-    };
-    outln!(out, "profiled paper day ({profiled_wall_secs:.3}s bracketed wall):");
     for line in tree.render(true).lines() {
         outln!(out, "  {line}");
     }
@@ -263,14 +327,19 @@ fn run_perf(out: &Reporter) -> PerfReport {
         tree.self_wall_ns_sum() as f64 / 1e9,
         day_paper_span_coverage * 100.0
     );
+    out.sample("day_paper", (day_paper_wall_secs * 1e9) as u64, 1);
 
     // Workload 2: the sweep, sequential then parallel. The results must
     // agree exactly — the pool's order-preserving map is what makes the
-    // parallel path trustworthy enough to benchmark.
+    // parallel path trustworthy enough to benchmark. Both legs start
+    // from a cold trace cache: a leg that inherits the other's
+    // synthesized corpora would inflate the speedup.
     let seq = WorkerPool::sequential();
     let par = WorkerPool::new(jobs);
+    clear_trace_cache();
     let (seq_points, sweep_seq_wall_secs) =
         wall(|| figure8_at(&seq, scale, DayKind::Weekday, runs));
+    clear_trace_cache();
     let (par_points, sweep_par_wall_secs) =
         wall(|| figure8_at(&par, scale, DayKind::Weekday, runs));
     assert_eq!(seq_points, par_points, "parallel sweep diverged from sequential");
@@ -338,6 +407,9 @@ fn run_perf(out: &Reporter) -> PerfReport {
 
     PerfReport {
         scale_name,
+        nproc,
+        cpu,
+        rustc,
         jobs,
         sweep_sims,
         day_wall_secs,
@@ -399,29 +471,30 @@ fn check(report: &PerfReport, baseline_path: &str, out: &Reporter) -> bool {
     }
 
     // The paper-day phase breakdown must account for the bracketed
-    // wall: named phases plus the `other` residual re-sum to the total
-    // (±5%, with an absolute floor for very fast machines where the
-    // 4-decimal rounding dominates).
+    // wall: the tree's phase nodes plus the `other` residual re-sum to
+    // the total (±5%, with an absolute floor for very fast machines
+    // where the 4-decimal rounding dominates). `other` is clamped at
+    // zero, so phases that exceed the wall fail here. A baseline
+    // missing any phase key fails too.
     let current_json = report.to_json();
     for (label, text) in [("baseline", text.as_str()), ("current", current_json.as_str())] {
-        let total = json_f64(text, "day_paper_wall_secs").unwrap_or(0.0);
-        let sum: f64 = [
-            "trace_secs",
-            "construct_secs",
-            "fault_secs",
-            "activation_secs",
-            "planner_secs",
-            "fetch_secs",
-            "accounting_secs",
-            "other_secs",
-        ]
-        .iter()
-        .map(|k| json_f64(text, &format!("day_paper_{k}")).unwrap_or(f64::NAN))
-        .sum();
-        if !sum.is_finite() {
-            // Older baselines lack the residual key; the throughput
-            // checks above still apply.
-            outln!(out, "check phases({label}): missing keys — skipped");
+        let mut missing = Vec::new();
+        let mut read = |key: String| {
+            json_f64(text, &key).unwrap_or_else(|| {
+                missing.push(key);
+                0.0
+            })
+        };
+        let total = read("day_paper_wall_secs".to_string());
+        let sum: f64 = PAPER_PHASES
+            .iter()
+            .map(|(key, _)| *key)
+            .chain(["other"])
+            .map(|key| read(format!("day_paper_{key}_secs")))
+            .sum();
+        if !missing.is_empty() {
+            eprintln!("perf: {label} is missing {}", missing.join(", "));
+            ok = false;
             continue;
         }
         let tolerance = (total * 0.05).max(0.002);

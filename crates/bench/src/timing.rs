@@ -47,10 +47,10 @@ pub fn wall<R>(f: impl FnOnce() -> R) -> (R, f64) {
 
 /// Monotonic seconds since this function was first called.
 ///
-/// This is the clock handed to phase-bracketing APIs (e.g.
-/// `ClusterSim::run_day_timed`): the simulator itself never reads wall
-/// time, it only brackets phases with whatever monotonic closure the
-/// benchmark supplies from here.
+/// This is the clock handed to `run_datacenter_day`, which times each
+/// rack with it: the simulator itself never reads wall time, it only
+/// brackets racks with whatever monotonic closure the benchmark
+/// supplies from here.
 pub fn monotonic_secs() -> f64 {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<Instant> = OnceLock::new();

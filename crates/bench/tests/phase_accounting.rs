@@ -1,78 +1,85 @@
-//! Phase-accounting lock: `DayPhases` bracketing double-counts nothing.
-//!
-//! `run_day_timed` brackets each simulation phase with the caller's
-//! monotonic clock. The buckets must partition the day — every bracket
-//! disjoint, none counted twice — or a double-counted span would
-//! silently inflate the committed `BENCH_sim.json` breakdown. This is
-//! the test-suite analogue of the `day_paper_span_coverage` figure
-//! `perf` reports: phase sum ≤ wall (no double counting, ±5% clock-read
-//! slack) and phase sum ≥ half the wall (the brackets actually cover the
-//! day, loop overhead aside).
+//! Phase accounting on the profile tree: the span profiler is the only
+//! in-simulator timer, and `perf`'s `day_paper_*_secs` keys are read
+//! off its nodes. These tests lock what that reading relies on, on a
+//! profiled §5.1 paper day: no node double-counts its children, the
+//! tree covers the day, and attaching the profiler changes no result.
 
-use oasis_bench::timing::monotonic_secs;
-use oasis_cluster::{ClusterConfig, ClusterSim, DayPhases};
+use oasis_bench::timing::wall;
+use oasis_cluster::{ClusterConfig, ClusterSim, SimReport};
+use oasis_telemetry::{Level, ProfileNode, ProfileTree, Telemetry, TelemetrySummary};
 
-fn day_phases() -> (DayPhases, f64) {
-    let cfg = || ClusterConfig::builder().seed(1).build().expect("valid §5.1 configuration");
-    // Warmup fills the process-wide trace cache, so the timed day below
-    // measures the warm steady state `BENCH_sim.json` records.
-    let _ = ClusterSim::new(cfg()).run_day();
-    let mut phases = DayPhases::default();
-    let t0 = monotonic_secs();
-    let sim = ClusterSim::new_timed(cfg(), &monotonic_secs, &mut phases);
-    let report = sim.run_day_timed(&monotonic_secs, &mut phases);
-    let wall = monotonic_secs() - t0;
-    assert!(report.total_kwh > 0.0, "paper day simulated no energy");
-    (phases, wall)
+fn paper_cfg() -> ClusterConfig {
+    ClusterConfig::builder().seed(1).build().expect("valid §5.1 configuration")
 }
 
+/// One profiled paper day the way `perf` runs it: a `construct` scope
+/// around `ClusterSim::new`, then the bus attached for `run_day`.
+/// Returns the report, the tree and the bracketed wall seconds.
+fn profiled_day() -> (SimReport, ProfileTree, f64) {
+    let telemetry = Telemetry::new(Level::Warn);
+    let (report, secs) = wall(|| {
+        let construct = telemetry.profile("construct");
+        let mut sim = ClusterSim::new(paper_cfg());
+        construct.end();
+        sim.attach_telemetry(telemetry.clone());
+        sim.run_day()
+    });
+    (report, telemetry.profiler().snapshot(), secs)
+}
+
+/// No node's children sum past the node itself, so no phase key counts
+/// time twice. Example perturbation it catches: `ProfileScope::start`
+/// taking its wall start from one instant shared by the whole bus
+/// instead of the scope's own entry, so every close re-counts the time
+/// since that instant and 288 `planner` closes outweigh one `run_day`.
 #[test]
-fn day_phase_brackets_partition_the_wall() {
-    let (phases, wall) = day_phases();
-    let sum = phases.total_secs();
-    // No negative bucket: a clock handed in monotone non-decreasing
-    // readings, so a negative bucket means brackets crossed.
-    for (name, v) in [
-        ("trace_sampling", phases.trace_sampling_secs),
-        ("construct", phases.construct_secs),
-        ("fault_service", phases.fault_service_secs),
-        ("activation", phases.activation_secs),
-        ("planner", phases.planner_secs),
-        ("fetch", phases.fetch_secs),
-        ("accounting", phases.accounting_secs),
-    ] {
-        assert!(v >= 0.0, "phase {name} went negative ({v}s)");
+fn children_never_sum_past_their_parent() {
+    let (_, tree, _) = profiled_day();
+    fn check(node: &ProfileNode) {
+        let children: u64 = node.children.iter().map(|c| c.total_wall_ns).sum();
+        assert!(
+            children <= node.total_wall_ns,
+            "{}: children {children} ns > total {} ns",
+            node.name,
+            node.total_wall_ns
+        );
+        node.children.iter().for_each(check);
     }
-    // Disjoint brackets can never sum past the enclosing wall; ±5%
-    // absorbs the clock reads themselves on very fast machines.
-    assert!(sum <= wall * 1.05, "phases double-count — sum {sum:.6}s > wall {wall:.6}s");
-    // And they must actually cover the day: everything outside the
-    // buckets is loop prologue and report assembly, a small residual at
-    // paper scale.
-    assert!(sum >= wall * 0.5, "phases cover too little — sum {sum:.6}s of wall {wall:.6}s");
+    assert!(!tree.is_empty(), "profiled day recorded no scopes");
+    tree.roots.iter().for_each(check);
 }
 
+/// `run_day` covers at least half the bracketed wall, and the tree's
+/// top-level scopes never exceed it. Example perturbation it catches:
+/// ending the `run_day` scope before the interval loop in
+/// `ClusterSim::run_day`, which leaves the phases as unbracketed roots.
 #[test]
-fn timed_and_untimed_days_are_byte_identical() {
-    // The phase clock must never feed back into simulation: a timed run
-    // (real clock) and an untimed run (constant clock) produce the same
-    // report bytes.
-    let cfg = || {
-        ClusterConfig::builder()
-            .home_hosts(6)
-            .consolidation_hosts(2)
-            .vms_per_host(10)
-            .seed(3)
-            .build()
-            .expect("valid configuration")
-    };
-    let untimed = format!("{:?}", ClusterSim::new(cfg()).run_day());
-    let mut phases = DayPhases::default();
-    let timed = format!(
-        "{:?}",
-        ClusterSim::new_timed(cfg(), &monotonic_secs, &mut phases)
-            .run_day_timed(&monotonic_secs, &mut phases)
+fn run_day_covers_the_bracketed_wall() {
+    let (_, tree, secs) = profiled_day();
+    let wall_ns = secs * 1e9;
+    let run_day = tree.roots.iter().find(|n| n.name == "run_day").expect("run_day scope");
+    assert!(
+        run_day.total_wall_ns as f64 >= 0.5 * wall_ns,
+        "run_day covers {} ns of {wall_ns} ns",
+        run_day.total_wall_ns
     );
-    assert_eq!(untimed, timed, "phase clock leaked into the simulation");
-    assert!(phases.total_secs() > 0.0, "timed run recorded no phase wall");
+    assert!(
+        tree.total_wall_ns() as f64 <= wall_ns,
+        "tree total {} ns > bracketed wall {wall_ns} ns",
+        tree.total_wall_ns()
+    );
+}
+
+/// The profiler never feeds back into the simulation: a profiled day's
+/// report equals an unprofiled one byte for byte, once the bus's event
+/// counts are set aside. Example perturbation it catches: a phase that
+/// runs only on a disabled bus, such as `grow_working_sets` in
+/// `ClusterSim::step_interval` gated on `!self.telemetry.is_enabled()`.
+#[test]
+fn profiling_leaves_the_report_unchanged() {
+    let plain = ClusterSim::new(paper_cfg()).run_day();
+    let (mut profiled, _, _) = profiled_day();
+    assert_eq!(plain.telemetry, TelemetrySummary::default());
+    profiled.telemetry = TelemetrySummary::default();
+    assert_eq!(format!("{profiled:?}"), format!("{plain:?}"));
 }

@@ -40,7 +40,7 @@ use oasis_trace::{DayKind, INTERVALS_PER_DAY};
 use crate::config::ClusterConfig;
 use crate::experiments::Scale;
 use crate::results::SimReport;
-use crate::sim::{ClusterSim, DayPhases};
+use crate::sim::ClusterSim;
 
 /// Trace intervals between cross-rack epoch barriers (24 × 5 min = two
 /// simulated hours; 12 barriers per day).
@@ -151,11 +151,10 @@ struct RackDay {
     rack: u32,
     sim: ClusterSim,
     /// The day loop's planning cadence (`next_plan` local of
-    /// [`ClusterSim::run_day_timed`]).
+    /// [`ClusterSim::run_day`]).
     next_plan: SimTime,
     /// The rack's `run_day` profiler scope, held open across barriers.
     day_scope: ProfileScope,
-    phases: DayPhases,
     /// Wall seconds this rack spent being stepped (construction + all
     /// epochs), for the per-rack p50/p99 roll-up.
     wall_secs: f64,
@@ -176,21 +175,18 @@ impl RackDay {
         clock: &(dyn Fn() -> f64 + Sync),
         tel: Telemetry,
     ) -> RackDay {
-        let local = || clock();
         let t0 = clock();
-        let mut phases = DayPhases::default();
-        let mut sim = ClusterSim::new_timed(cfg, &local, &mut phases);
+        let mut sim = ClusterSim::new(cfg);
         sim.attach_telemetry(tel);
         let day_scope = sim.telemetry.profile("run_day");
-        RackDay { rack, sim, next_plan: SimTime::ZERO, day_scope, phases, wall_secs: clock() - t0 }
+        RackDay { rack, sim, next_plan: SimTime::ZERO, day_scope, wall_secs: clock() - t0 }
     }
 
     /// Steps intervals `lo..hi` — one epoch's worth between barriers.
     fn step_range(&mut self, lo: usize, hi: usize, clock: &(dyn Fn() -> f64 + Sync)) {
-        let local = || clock();
         let t0 = clock();
         for interval in lo..hi {
-            self.sim.step_interval(interval, &mut self.next_plan, &local, &mut self.phases);
+            self.sim.step_interval(interval, &mut self.next_plan);
         }
         self.wall_secs += clock() - t0;
     }
@@ -208,11 +204,11 @@ impl RackDay {
 
     /// Closes the rack's day: ends the day scope and assembles the
     /// report — the monolithic epilogue.
-    fn finish(self, clock: &(dyn Fn() -> f64 + Sync)) -> (SimReport, DayPhases, f64) {
+    fn finish(self, clock: &(dyn Fn() -> f64 + Sync)) -> (SimReport, f64) {
         let t0 = clock();
         self.day_scope.end();
         let report = self.sim.finish_report();
-        (report, self.phases, self.wall_secs + clock() - t0)
+        (report, self.wall_secs + clock() - t0)
     }
 }
 
@@ -242,8 +238,6 @@ pub struct DatacenterReport {
     pub rack_reports: Vec<SimReport>,
     /// Per-rack wall seconds (construction + stepping + finish).
     pub rack_wall_secs: Vec<f64>,
-    /// Per-rack phase breakdowns.
-    pub rack_phases: Vec<DayPhases>,
 }
 
 impl DatacenterReport {
@@ -325,11 +319,9 @@ pub fn run_datacenter_day_with(
     // in a deterministic order.
     let mut rack_reports = Vec::with_capacity(fleet.len());
     let mut rack_wall_secs = Vec::with_capacity(fleet.len());
-    let mut rack_phases = Vec::with_capacity(fleet.len());
     for rack in fleet {
-        let (report, phases, wall) = rack.finish(clock);
+        let (report, wall) = rack.finish(clock);
         rack_reports.push(report);
-        rack_phases.push(phases);
         rack_wall_secs.push(wall);
     }
 
@@ -349,7 +341,6 @@ pub fn run_datacenter_day_with(
         rebalance_bytes,
         rack_reports,
         rack_wall_secs,
-        rack_phases,
     }
 }
 

@@ -247,44 +247,6 @@ impl oasis_core::ResidencyIndex for ResidencyHandoff<'_> {
     }
 }
 
-/// Cumulative wall-clock breakdown of one simulated day, in seconds.
-///
-/// The simulator never reads a clock itself (oasis-lint confines wall
-/// time to `oasis-bench::timing`); callers that want the breakdown pass
-/// a monotonic-seconds closure to [`ClusterSim::run_day_timed`] and the
-/// phases are bracketed with it. The plain [`ClusterSim::run_day`] path
-/// uses a constant closure, so profiling support costs nothing when off.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DayPhases {
-    /// Trace-library generation + user-day sampling (construction).
-    pub trace_sampling_secs: f64,
-    /// Remaining construction work (hosts, VMs, indices, manager).
-    pub construct_secs: f64,
-    /// Fault-schedule application and recovery (per interval).
-    pub fault_service_secs: f64,
-    /// Trace-driven activations and their servicing (per interval).
-    pub activation_secs: f64,
-    /// Planning rounds and plan execution (per interval).
-    pub planner_secs: f64,
-    /// Working-set growth / demand-fetch modelling (per interval).
-    pub fetch_secs: f64,
-    /// Series recording and energy integration (per interval).
-    pub accounting_secs: f64,
-}
-
-impl DayPhases {
-    /// Sum of all phase buckets.
-    pub fn total_secs(&self) -> f64 {
-        self.trace_sampling_secs
-            + self.construct_secs
-            + self.fault_service_secs
-            + self.activation_secs
-            + self.planner_secs
-            + self.fetch_secs
-            + self.accounting_secs
-    }
-}
-
 /// The trace-driven cluster simulator.
 pub struct ClusterSim {
     pub(crate) cfg: ClusterConfig,
@@ -420,13 +382,6 @@ fn class_idx(class: WorkloadClass) -> usize {
 impl ClusterSim {
     /// Builds the simulated rack and samples one user-day per VM.
     pub fn new(cfg: ClusterConfig) -> Self {
-        Self::new_timed(cfg, &|| 0.0, &mut DayPhases::default())
-    }
-
-    /// [`Self::new`], bracketing the trace-sampling and construction
-    /// phases with `clock` (monotonic seconds) into `phases`.
-    pub fn new_timed(cfg: ClusterConfig, clock: &dyn Fn() -> f64, phases: &mut DayPhases) -> Self {
-        let t0 = clock();
         let mut rng = SimRng::new(cfg.seed ^ 0xC1u64.wrapping_mul(0x9E37_79B9));
         // Sample `total_vms` user-days of the requested kind, either from
         // the supplied trace library or from a synthesized corpus
@@ -468,8 +423,6 @@ impl ClusterSim {
                 }
             }
         }
-        let t1 = clock();
-        phases.trace_sampling_secs += t1 - t0;
 
         let mut hosts = Vec::new();
         for h in 0..cfg.home_hosts {
@@ -606,7 +559,6 @@ impl ClusterSim {
                 c.idle_model().growth_per_min.as_mib_f64() * INTERVAL_SECS / 60.0,
             )
         });
-        phases.construct_secs += clock() - t1;
         ClusterSim {
             cfg,
             rng,
@@ -653,9 +605,9 @@ impl ClusterSim {
         }
     }
 
-    /// Routes the simulator's (and its manager's) events, spans and
-    /// counters through `telemetry`. Telemetry never touches the RNG, so
-    /// attaching it leaves simulation results bit-identical.
+    /// Routes the simulator's (and its manager's) events, profiler
+    /// scopes and counters through `telemetry`. Telemetry never touches
+    /// the RNG, so attaching it leaves simulation results bit-identical.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.manager.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
@@ -2171,13 +2123,7 @@ impl ClusterSim {
     /// trace step): fault onsets, trace-driven state changes, planning on
     /// the manager's own cadence, working-set growth, host sleep, series
     /// recording and energy integration.
-    pub(crate) fn step_interval(
-        &mut self,
-        interval: usize,
-        next_plan: &mut SimTime,
-        clock: &dyn Fn() -> f64,
-        phases: &mut DayPhases,
-    ) {
+    pub(crate) fn step_interval(&mut self, interval: usize, next_plan: &mut SimTime) {
         let now = SimTime::from_secs(interval as u64 * INTERVAL_SECS as u64);
         self.telemetry.advance_to(now);
         let active = self.users.iter().filter(|u| u.is_active(interval)).count();
@@ -2189,18 +2135,13 @@ impl ClusterSim {
         self.dirty_hosts.iter_mut().for_each(|d| *d = false);
         self.dirty_vms.iter_mut().for_each(|d| *d = false);
         self.dirty_vm_count = 0;
-        let t0 = clock();
         let scope = self.telemetry.profile("fault_service");
         self.apply_faults(now);
         self.apply_reboots(now);
         scope.end();
-        let t1 = clock();
-        phases.fault_service_secs += t1 - t0;
         let scope = self.telemetry.profile("activation");
         self.apply_trace(interval, now);
         scope.end();
-        let t2 = clock();
-        phases.activation_secs += t2 - t1;
         // The manager plans on its own configurable interval (§3.1),
         // not on every trace step.
         let scope = self.telemetry.profile("planner");
@@ -2209,43 +2150,30 @@ impl ClusterSim {
             *next_plan = now + self.cfg.interval;
         }
         scope.end();
-        let t3 = clock();
-        phases.planner_secs += t3 - t2;
         let scope = self.telemetry.profile("fetch");
         self.grow_working_sets(now);
         scope.end();
-        let t4 = clock();
-        phases.fetch_secs += t4 - t3;
         let scope = self.telemetry.profile("accounting");
         self.sleep_empty_hosts();
         self.record(now);
         self.account_energy(interval);
         self.energy_series.record(now, self.total_joules / oasis_power::meter::JOULES_PER_KWH);
         scope.end();
-        phases.accounting_secs += clock() - t4;
     }
 
     /// Runs one full simulated day and returns the report.
-    pub fn run_day(self) -> SimReport {
-        self.run_day_timed(&|| 0.0, &mut DayPhases::default())
-    }
-
-    /// [`Self::run_day`], bracketing each simulation phase with `clock`
-    /// (monotonic seconds) and accumulating the breakdown into `phases`.
-    /// The clock never feeds back into the simulation, so a timed run is
-    /// byte-identical to an untimed one.
-    pub fn run_day_timed(mut self, clock: &dyn Fn() -> f64, phases: &mut DayPhases) -> SimReport {
+    pub fn run_day(mut self) -> SimReport {
         let day_scope = self.telemetry.profile("run_day");
         let mut next_plan = SimTime::ZERO;
         for interval in 0..INTERVALS_PER_DAY {
-            self.step_interval(interval, &mut next_plan, clock, phases);
+            self.step_interval(interval, &mut next_plan);
         }
         day_scope.end();
         self.finish_report()
     }
 
     /// Assembles the [`SimReport`] after the day loop — shared by
-    /// [`Self::run_day_timed`] and the shard tier, so the report
+    /// [`Self::run_day`] and the shard tier, so the report
     /// layout cannot drift between them.
     pub(crate) fn finish_report(self) -> SimReport {
         let baseline_kwh = self.baseline_joules / oasis_power::meter::JOULES_PER_KWH;
@@ -2694,9 +2622,8 @@ mod tests {
                 .expect("valid configuration");
             let mut sim = ClusterSim::new(cfg);
             let mut next_plan = SimTime::ZERO;
-            let mut phases = DayPhases::default();
             for interval in 0..INTERVALS_PER_DAY {
-                sim.step_interval(interval, &mut next_plan, &|| 0.0, &mut phases);
+                sim.step_interval(interval, &mut next_plan);
                 sim.verify_indices().unwrap_or_else(|e| {
                     panic!("seed {seed}, interval {interval}: index drifted: {e}")
                 });

@@ -96,23 +96,6 @@ fn dc(racks: u32, seed: u64, faults: FaultSchedule) -> DatacenterConfig {
     DatacenterConfig { base: template(seed, faults), racks, planner: PlannerScope::Global }
 }
 
-/// Blanks the wall-clock span percentiles — the only real-time-derived
-/// bytes in a report.
-fn scrub_wall_times(debug: &str) -> String {
-    let mut out = String::with_capacity(debug.len());
-    let mut rest = debug;
-    while let Some(pos) = rest.find("wall_ns_p") {
-        let end = pos + "wall_ns_p50: ".len();
-        out.push_str(&rest[..end]);
-        rest = &rest[end..];
-        let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-        out.push('_');
-        rest = &rest[digits..];
-    }
-    out.push_str(rest);
-    out
-}
-
 /// Runs the monolithic day with a golden-telemetry sink; returns
 /// `(stream, report)` — every observable byte.
 fn monolithic_day(cfg: ClusterConfig) -> (String, String) {
@@ -122,11 +105,11 @@ fn monolithic_day(cfg: ClusterConfig) -> (String, String) {
     let mut sim = ClusterSim::new(cfg);
     sim.attach_telemetry(telemetry);
     let report = sim.run_day();
-    (buf.take(), scrub_wall_times(&format!("{report:?}")))
+    (buf.take(), format!("{report:?}"))
 }
 
 /// Runs the sharded day on `pool` with one golden-telemetry sink per
-/// rack; returns the per-rack streams and scrubbed per-rack reports.
+/// rack; returns the per-rack streams and per-rack reports.
 fn sharded_day(pool: &WorkerPool, dc: &DatacenterConfig) -> (Vec<String>, Vec<String>) {
     let bufs: Vec<SharedBuf> = (0..dc.racks).map(|_| SharedBuf::default()).collect();
     let sinks = bufs.clone();
@@ -136,7 +119,7 @@ fn sharded_day(pool: &WorkerPool, dc: &DatacenterConfig) -> (Vec<String>, Vec<St
         telemetry
     });
     let streams = bufs.iter().map(SharedBuf::take).collect();
-    let reports = report.rack_reports.iter().map(|r| scrub_wall_times(&format!("{r:?}"))).collect();
+    let reports = report.rack_reports.iter().map(|r| format!("{r:?}")).collect();
     (streams, reports)
 }
 

@@ -102,9 +102,28 @@ fn report_summary_matches_the_stream() {
     assert_eq!(report.telemetry.events_total, stream.lines().count() as u64);
     let by_kind: u64 = report.telemetry.events_by_kind.iter().map(|(_, n)| n).sum();
     assert_eq!(by_kind, report.telemetry.events_total);
-    assert!(
-        report.telemetry.spans.iter().any(|s| s.name == "manager_plan" && s.count == 288),
-        "manager_plan span recorded per planning round: {:?}",
-        report.telemetry.spans
-    );
+}
+
+/// The profile tree records one `plan_consolidation` call per planning
+/// round: 288 five-minute rounds, under `run_day;planner` and nowhere
+/// else. Example perturbation it catches: opening the scope twice per
+/// round (a second `telemetry.profile("plan_consolidation")` around the
+/// planner call in `ClusterManager::plan_with`) nests a second node.
+#[test]
+fn profile_tree_counts_one_plan_per_round() {
+    let telemetry = Telemetry::new(Level::Info);
+    let mut sim = ClusterSim::new(config());
+    sim.attach_telemetry(telemetry.clone());
+    sim.run_day();
+    let tree = telemetry.profiler().snapshot();
+    let nodes: Vec<(usize, &str, u64)> =
+        tree.flatten().iter().map(|(depth, n)| (*depth, n.name.as_str(), n.calls)).collect();
+    assert!(nodes.contains(&(0, "run_day", 1)), "{nodes:?}");
+    assert!(nodes.contains(&(1, "planner", 288)), "{nodes:?}");
+    let plans: Vec<(usize, u64)> = nodes
+        .iter()
+        .filter(|(_, name, _)| *name == "plan_consolidation")
+        .map(|&(depth, _, calls)| (depth, calls))
+        .collect();
+    assert_eq!(plans, [(2, 288)], "{nodes:?}");
 }

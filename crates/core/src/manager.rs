@@ -89,7 +89,7 @@ impl ClusterManager {
         }
     }
 
-    /// Routes the manager's spans and counters through `telemetry`.
+    /// Routes the manager's profiler scopes and counters through `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
         // The cached handles point into the previous registry.
@@ -151,7 +151,6 @@ impl ClusterManager {
         index: Option<&dyn ResidencyIndex>,
     ) -> Vec<PlannedAction> {
         let round = self.stats.rounds as u32;
-        let span = self.telemetry.span("manager_plan");
         let (actions, plan_stats) = plan_consolidation_traced(
             &self.telemetry,
             view,
@@ -161,7 +160,6 @@ impl ClusterManager {
             index,
         );
         self.planned_actions_counter().add(actions.len() as u64);
-        span.end();
         self.stats.rounds += 1;
         self.stats.actions += actions.len() as u64;
         self.last_plan_decision_ids.clear();

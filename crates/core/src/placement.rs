@@ -279,25 +279,6 @@ pub struct PlanStats {
     pub demand_mib: u64,
 }
 
-/// Like [`plan_consolidation`], wrapped in a `placement_search` span and
-/// profiler scope so the planner's wall-clock cost shows up in both the
-/// flat span registry and the call tree, and returning the round's
-/// [`PlanStats`] for the audit trail. The `planned_actions_total`
-/// counter is the manager's job (it caches the handle across rounds).
-pub fn plan_consolidation_traced(
-    telemetry: &oasis_telemetry::Telemetry,
-    view: &ClusterView,
-    policy: PolicyKind,
-    config: &PlannerConfig,
-    rng: &mut SimRng,
-    index: Option<&dyn ResidencyIndex>,
-) -> (Vec<PlannedAction>, PlanStats) {
-    let span = telemetry.span("placement_search");
-    let (actions, stats) = plan_consolidation_inner(telemetry, view, policy, config, rng, index);
-    span.end();
-    (actions, stats)
-}
-
 /// Plans one consolidation interval; returns the actions to execute.
 pub fn plan_consolidation(
     view: &ClusterView,
@@ -305,7 +286,7 @@ pub fn plan_consolidation(
     config: &PlannerConfig,
     rng: &mut SimRng,
 ) -> Vec<PlannedAction> {
-    plan_consolidation_inner(
+    plan_consolidation_traced(
         &oasis_telemetry::Telemetry::disabled(),
         view,
         policy,
@@ -316,7 +297,12 @@ pub fn plan_consolidation(
     .0
 }
 
-fn plan_consolidation_inner(
+/// [`plan_consolidation`] under a `plan_consolidation` profiler scope
+/// on `telemetry`, planning against the caller's residency index when
+/// one is given, and returning the round's [`PlanStats`] for the audit
+/// trail. The `planned_actions_total` counter is the manager's job (it
+/// caches the handle across rounds).
+pub fn plan_consolidation_traced(
     telemetry: &oasis_telemetry::Telemetry,
     view: &ClusterView,
     policy: PolicyKind,

@@ -45,15 +45,12 @@ pub const PRINT_EXEMPT_CRATES: [&str; 3] = ["cli", "bench", "lint"];
 pub const RETRY_FNS: [&str; 2] = ["with_retries", "wake_with_retries"];
 
 /// Files allowed to read wall-clock time: the bench harness measures real
-/// elapsed time, and telemetry spans and the hierarchical profiler record
-/// host-side wall durations that never feed back into simulation
-/// decisions (profile exports default to sim-time/call-count metrics so
-/// artifacts stay byte-deterministic).
-pub const WALL_CLOCK_ALLOWED: [&str; 3] = [
-    "crates/bench/src/timing.rs",
-    "crates/telemetry/src/span.rs",
-    "crates/telemetry/src/profile.rs",
-];
+/// elapsed time, and the hierarchical profiler records host-side wall
+/// durations that never feed back into simulation decisions (profile
+/// exports default to sim-time/call-count metrics so artifacts stay
+/// byte-deterministic).
+pub const WALL_CLOCK_ALLOWED: [&str; 2] =
+    ["crates/bench/src/timing.rs", "crates/telemetry/src/profile.rs"];
 
 /// The only module that may generate randomness.
 pub const RNG_HOME: &str = "crates/sim/src/rng.rs";
@@ -74,7 +71,7 @@ pub struct Rule {
 pub const RULES: [Rule; 12] = [
     Rule {
         id: "wall-clock",
-        summary: "no Instant/SystemTime outside bench timing and telemetry wall-spans; \
+        summary: "no Instant/SystemTime outside bench timing and the telemetry profiler; \
                   simulation logic uses SimTime",
     },
     Rule {
@@ -100,12 +97,12 @@ pub const RULES: [Rule; 12] = [
     },
     Rule {
         id: "unbalanced-span",
-        summary: "no span/profile guard bound to `_` (closed before measuring anything), \
+        summary: "no profile guard bound to `_` (closed before measuring anything), \
                   and no return/? between a guard binding and its .end()",
     },
     Rule {
         id: "cross-fn-span",
-        summary: "no span/profile guard passed to another function: scopes open and close \
+        summary: "no profile guard passed to another function: scopes open and close \
                   in the same fn, or span nesting stops matching the call tree",
     },
     Rule {
@@ -286,7 +283,7 @@ pub fn check_file(path: &str, toks: &[Tok], test_mask: &[bool]) -> Vec<RawFindin
                 line,
                 format!(
                     "wall-clock time source `{}`: simulation logic must use SimTime/SimDuration \
-                     (allowed only in bench timing and telemetry wall-spans)",
+                     (allowed only in bench timing and the telemetry profiler)",
                     t.text
                 ),
             );
@@ -515,16 +512,14 @@ pub fn check_file(path: &str, toks: &[Tok], test_mask: &[bool]) -> Vec<RawFindin
             }
         }
 
-        // unbalanced-span: `let _ = t.span(..)` / `let _ = t.profile(..)`
+        // unbalanced-span: `let _ = t.profile(..)`
         // drops the guard on the same statement, so the span measures
         // nothing; a named guard whose `.end()` sits past a `return` or
         // `?` silently falls back to Drop on the early path, losing the
         // explicit end the surrounding code relies on for determinism.
         if matches_at(toks, i, &[Pat::Id("let")]) {
-            let is_guard_ctor = |j: usize| {
-                matches_at(toks, j, &[Pat::P('.'), Pat::Id("span"), Pat::P('(')])
-                    || matches_at(toks, j, &[Pat::P('.'), Pat::Id("profile"), Pat::P('(')])
-            };
+            let is_guard_ctor =
+                |j: usize| matches_at(toks, j, &[Pat::P('.'), Pat::Id("profile"), Pat::P('(')]);
             // Optional `mut`, then the bound name (`_` or an identifier).
             let mut b = i + 1;
             if matches_at(toks, b, &[Pat::Id("mut")]) {
@@ -547,7 +542,7 @@ pub fn check_file(path: &str, toks: &[Tok], test_mask: &[bool]) -> Vec<RawFindin
                         push(
                             "unbalanced-span",
                             line,
-                            "span/profile guard bound to `_` is dropped immediately and \
+                            "profile guard bound to `_` is dropped immediately and \
                              measures nothing; bind it to a name and call .end(), or let a \
                              named `_guard` live to end of scope"
                                 .to_string(),
@@ -624,7 +619,7 @@ pub fn check_file(path: &str, toks: &[Tok], test_mask: &[bool]) -> Vec<RawFindin
                                         "cross-fn-span",
                                         tk.line,
                                         format!(
-                                            "span/profile guard `{name}` passed to `{callee}`: \
+                                            "profile guard `{name}` passed to `{callee}`: \
                                              scopes must open and close in the same function; \
                                              end `{name}` here and open a child scope inside \
                                              `{callee}`"

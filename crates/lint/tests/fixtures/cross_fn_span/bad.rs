@@ -1,4 +1,4 @@
-// Fixture: a span/profile guard passed into a callee escapes its
+// Fixture: a profile guard passed into a callee escapes its
 // function — the callee ends it, and span nesting stops matching the
 // call tree.
 pub fn step(tel: &Telemetry) {
@@ -8,6 +8,6 @@ pub fn step(tel: &Telemetry) {
 }
 
 pub fn wrapped(tel: &Telemetry) {
-    let span = tel.span("day");
+    let span = tel.profile("day");
     run_day(&span, 7);
 }

@@ -7,7 +7,7 @@ pub fn step(tel: &Telemetry) {
 }
 
 pub fn wrapped(tel: &Telemetry) {
-    let span = tel.span("day");
+    let span = tel.profile("day");
     run_day(tel, 7);
     span.end();
 }

@@ -1,4 +1,4 @@
-// Fixture (virtual path crates/telemetry/src/span.rs): the wall-clock
+// Fixture (virtual path crates/telemetry/src/profile.rs): the wall-clock
 // source, two calls below the decision-path entry point. The path is in
 // the per-site allowlist, so only the transitive analysis can see it.
 use std::time::Instant;

@@ -19,7 +19,7 @@ pub fn scan(tel: &Telemetry) {
 }
 
 pub fn traced(tel: &Telemetry) -> Option<u64> {
-    let span = tel.span("precopy_migrate");
+    let span = tel.profile("precopy_migrate");
     let out = migrate();
     span.end();
     let bytes = out.bytes?;

@@ -20,7 +20,7 @@ fn two_hop_wall_clock_reaches_decision_path_sink() {
     // Acceptance criterion: the wall-clock call sits two calls below the
     // decision-path entry point, and the finding names the full chain.
     let findings = taint_findings(&[
-        ("crates/telemetry/src/span.rs", SOURCE),
+        ("crates/telemetry/src/profile.rs", SOURCE),
         ("crates/telemetry/src/lib.rs", MIDDLE),
         ("crates/cluster/src/sim.rs", SINK),
     ]);
@@ -30,7 +30,7 @@ fn two_hop_wall_clock_reaches_decision_path_sink() {
     assert!(f.message.contains("`step_interval`"), "{}", f.message);
     assert!(f.message.contains("wall-clock"), "{}", f.message);
     assert!(
-        f.message.contains("crates/telemetry/src/span.rs:7"),
+        f.message.contains("crates/telemetry/src/profile.rs:7"),
         "finding must name the true source site: {}",
         f.message
     );
@@ -46,7 +46,7 @@ fn source_outside_sink_crates_alone_is_not_a_finding() {
     // telemetry is not a decision-path crate; with no sink in the graph
     // the source is someone else's business (per-site rules).
     let findings = taint_findings(&[
-        ("crates/telemetry/src/span.rs", SOURCE),
+        ("crates/telemetry/src/profile.rs", SOURCE),
         ("crates/telemetry/src/lib.rs", MIDDLE),
     ]);
     assert!(findings.is_empty(), "no sink crate in graph: {findings:?}");
@@ -55,7 +55,7 @@ fn source_outside_sink_crates_alone_is_not_a_finding() {
 #[test]
 fn boundary_on_middle_hop_blocks_propagation() {
     let report = analyze_sources(&[
-        ("crates/telemetry/src/span.rs", SOURCE),
+        ("crates/telemetry/src/profile.rs", SOURCE),
         ("crates/telemetry/src/lib.rs", MIDDLE_BOUNDARY),
         ("crates/cluster/src/sim.rs", SINK),
     ]);
@@ -87,7 +87,7 @@ fn allow_on_sink_line_excuses_the_taint_finding() {
                     sample_latency()\n\
                 }\n";
     let report = analyze_sources(&[
-        ("crates/telemetry/src/span.rs", SOURCE),
+        ("crates/telemetry/src/profile.rs", SOURCE),
         ("crates/telemetry/src/lib.rs", MIDDLE),
         ("crates/cluster/src/sim.rs", sink),
     ]);
@@ -160,7 +160,7 @@ fn day_loop_modules_are_sink_territory() {
         ),
     ] {
         let findings = taint_findings(&[
-            ("crates/telemetry/src/span.rs", SOURCE),
+            ("crates/telemetry/src/profile.rs", SOURCE),
             ("crates/telemetry/src/lib.rs", MIDDLE),
             (path, sink),
         ]);
@@ -175,7 +175,7 @@ fn taint_findings_are_deterministically_ordered() {
     // Two sinks reaching the same source: findings must come out sorted
     // by (file, line, rule, message) no matter the input order.
     let files: Vec<(&str, &str)> = vec![
-        ("crates/telemetry/src/span.rs", SOURCE),
+        ("crates/telemetry/src/profile.rs", SOURCE),
         ("crates/telemetry/src/lib.rs", MIDDLE),
         ("crates/cluster/src/sim.rs", SINK),
         ("crates/core/src/manager.rs", "pub fn plan() -> u64 {\n    sample_latency()\n}\n"),

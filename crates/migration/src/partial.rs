@@ -72,26 +72,6 @@ impl PartialMigration {
             sas_bytes: self.upload_compressed,
         }
     }
-
-    /// Like [`PartialMigration::run`], but records span timing and
-    /// outcome metrics on the given telemetry bus (labeled
-    /// `kind="partial"`), splitting network from SAS bytes.
-    pub fn run_traced(
-        &self,
-        telemetry: &oasis_telemetry::Telemetry,
-        ms: &MemoryServerProfile,
-        net: LinkSpec,
-    ) -> PartialOutcome {
-        let span = telemetry.span("partial_migrate");
-        let out = self.run(ms, net);
-        span.end();
-        let m = telemetry.metrics();
-        m.counter("migration_bytes_total", &[("kind", "partial")])
-            .add(out.network_bytes.as_bytes());
-        m.counter("memserver_upload_bytes_total", &[]).add(out.sas_bytes.as_bytes());
-        m.histogram("migration_duration_us", &[("kind", "partial")]).record(out.total.as_micros());
-        out
-    }
 }
 
 #[cfg(test)]

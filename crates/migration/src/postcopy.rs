@@ -56,26 +56,6 @@ pub fn migrate(memory: ByteSize, access_rate: f64, link: LinkSpec) -> PostcopyOu
     }
 }
 
-/// Like [`migrate`], but records span timing and outcome metrics on the
-/// given telemetry bus (labeled `kind="postcopy"`), including the count
-/// of remote demand faults.
-pub fn migrate_traced(
-    telemetry: &oasis_telemetry::Telemetry,
-    memory: ByteSize,
-    access_rate: f64,
-    link: LinkSpec,
-) -> PostcopyOutcome {
-    let span = telemetry.span("postcopy_migrate");
-    let out = migrate(memory, access_rate, link);
-    span.end();
-    let m = telemetry.metrics();
-    m.counter("migration_bytes_total", &[("kind", "postcopy")]).add(out.bytes_sent.as_bytes());
-    m.counter("postcopy_remote_faults_total", &[]).add(out.remote_faults);
-    m.histogram("migration_duration_us", &[("kind", "postcopy")]).record(out.duration.as_micros());
-    m.histogram("migration_downtime_us", &[("kind", "postcopy")]).record(out.downtime.as_micros());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -134,26 +134,6 @@ pub fn pages_per_sec(pages: f64) -> f64 {
     pages * PAGE_SIZE as f64
 }
 
-/// Like [`migrate`], but records span timing and outcome metrics on the
-/// given telemetry bus (`migration_bytes_total`, `migration_duration_us`
-/// and `migration_downtime_us`, all labeled `kind="precopy"`).
-pub fn migrate_traced(
-    telemetry: &oasis_telemetry::Telemetry,
-    memory: ByteSize,
-    dirty_rate: f64,
-    link: LinkSpec,
-    config: &PrecopyConfig,
-) -> PrecopyOutcome {
-    let span = telemetry.span("precopy_migrate");
-    let out = migrate(memory, dirty_rate, link, config);
-    span.end();
-    let m = telemetry.metrics();
-    m.counter("migration_bytes_total", &[("kind", "precopy")]).add(out.bytes_sent.as_bytes());
-    m.histogram("migration_duration_us", &[("kind", "precopy")]).record(out.duration.as_micros());
-    m.histogram("migration_downtime_us", &[("kind", "precopy")]).record(out.downtime.as_micros());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

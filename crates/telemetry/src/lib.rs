@@ -1,4 +1,5 @@
-//! Structured event tracing, metrics and span timing for the Oasis stack.
+//! Structured event tracing, metrics and call-tree profiling for the
+//! Oasis stack.
 //!
 //! Three pillars, one handle:
 //!
@@ -9,8 +10,9 @@
 //! * **Metrics registry** — labeled [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed [`Histogram`]s behind lock-cheap handles, exportable as
 //!   Prometheus text or JSON ([`Metrics`]).
-//! * **Span timing** — scope guards ([`Span`]) that record both simulated
-//!   and wall-clock duration of hot paths into histograms.
+//! * **Call-tree profiling** — scope guards ([`ProfileScope`]) that
+//!   nest into one [`ProfileTree`] of call counts and simulated and
+//!   wall-clock time: the stack's only in-simulator timer.
 //!
 //! The [`Telemetry`] handle is `Clone` (shared `Arc` core) and threads
 //! through constructors; [`Telemetry::disabled`] is a near-free no-op for
@@ -36,7 +38,6 @@ pub mod event;
 pub mod json;
 pub mod metrics;
 pub mod profile;
-pub mod span;
 pub mod subscriber;
 
 pub use attribution::{EnergyLedger, HostEnergy, QuiescenceLedger, VmEnergy};
@@ -45,11 +46,9 @@ pub use event::{
 };
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
 pub use profile::{FoldedMetric, ProfileNode, ProfileScope, ProfileTree, Profiler};
-pub use span::Span;
 pub use subscriber::{BufferSink, JsonlSink, RingSink, Subscriber};
 
 use oasis_sim::SimTime;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -75,8 +74,6 @@ impl Inner {
     fn with_level(level: Level) -> Self {
         let metrics = Metrics::new();
         metrics.describe("telemetry_events_total", "Events that passed the level filter, by kind.");
-        metrics.describe("span_sim_us", "Span duration in simulated microseconds, by span name.");
-        metrics.describe("span_wall_ns", "Span duration in wall-clock nanoseconds, by span name.");
         Inner {
             level,
             seq: AtomicU64::new(0),
@@ -110,8 +107,9 @@ impl Telemetry {
         Telemetry { inner: Arc::new(Inner::with_level(level)) }
     }
 
-    /// Creates a disabled bus: events vanish, spans and instruments are
-    /// no-ops. This is the default wherever telemetry threads through.
+    /// Creates a disabled bus: events vanish, profiler scopes and
+    /// instruments are no-ops. This is the default wherever telemetry
+    /// threads through.
     pub fn disabled() -> Self {
         Telemetry::default()
     }
@@ -178,11 +176,6 @@ impl Telemetry {
         &self.inner.metrics
     }
 
-    /// Starts a [`Span`] named `name`; it records on drop.
-    pub fn span(&self, name: &'static str) -> Span {
-        Span::start(self, name)
-    }
-
     /// Starts a hierarchical profiler scope named `name`; it nests under
     /// the scope that is live when it starts and closes on drop.
     pub fn profile(&self, name: &'static str) -> ProfileScope {
@@ -212,8 +205,7 @@ impl Telemetry {
         }
     }
 
-    /// Snapshot of event counts and span timings, for attaching to
-    /// simulation reports.
+    /// Snapshot of event counts, for attaching to simulation reports.
     pub fn summary(&self) -> TelemetrySummary {
         let m = self.metrics();
         let events_by_kind: Vec<(String, u64)> = m
@@ -229,28 +221,7 @@ impl Telemetry {
             })
             .collect();
         let events_total = events_by_kind.iter().map(|(_, v)| v).sum();
-        let mut spans: Vec<SpanSummary> = m
-            .histograms_with_name("span_sim_us")
-            .into_iter()
-            .map(|(labels, sim)| {
-                let name = labels
-                    .iter()
-                    .find(|(k, _)| k == "span")
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_default();
-                let wall = m.histogram("span_wall_ns", &[("span", &name)]);
-                SpanSummary {
-                    count: sim.count(),
-                    sim_us_p50: sim.quantile(0.5),
-                    sim_us_p99: sim.quantile(0.99),
-                    wall_ns_p50: wall.quantile(0.5),
-                    wall_ns_p99: wall.quantile(0.99),
-                    name,
-                }
-            })
-            .collect();
-        spans.sort_by(|a, b| a.name.cmp(&b.name));
-        TelemetrySummary { events_total, events_by_kind, spans }
+        TelemetrySummary { events_total, events_by_kind }
     }
 }
 
@@ -262,32 +233,13 @@ impl Drop for Inner {
     }
 }
 
-/// Timing digest for one span name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// Span name.
-    pub name: String,
-    /// Completed passes.
-    pub count: u64,
-    /// Median simulated duration (µs, bucket upper bound).
-    pub sim_us_p50: u64,
-    /// p99 simulated duration (µs, bucket upper bound).
-    pub sim_us_p99: u64,
-    /// Median wall-clock duration (ns, bucket upper bound).
-    pub wall_ns_p50: u64,
-    /// p99 wall-clock duration (ns, bucket upper bound).
-    pub wall_ns_p99: u64,
-}
-
-/// Event counts and span timings captured at the end of a run.
+/// Event counts captured at the end of a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySummary {
     /// Events that passed the filter, all kinds.
     pub events_total: u64,
     /// Per-kind event counts, sorted by kind.
     pub events_by_kind: Vec<(String, u64)>,
-    /// Per-span timing digests, sorted by name.
-    pub spans: Vec<SpanSummary>,
 }
 
 impl std::fmt::Display for TelemetrySummary {
@@ -295,14 +247,6 @@ impl std::fmt::Display for TelemetrySummary {
         writeln!(f, "telemetry: {} events", self.events_total)?;
         for (kind, n) in &self.events_by_kind {
             writeln!(f, "  event {kind:<24} {n}")?;
-        }
-        for s in &self.spans {
-            let mut line = format!(
-                "  span  {:<24} n={} sim_p50<={}us sim_p99<={}us",
-                s.name, s.count, s.sim_us_p50, s.sim_us_p99
-            );
-            let _ = write!(line, " wall_p50<={}ns wall_p99<={}ns", s.wall_ns_p50, s.wall_ns_p99);
-            writeln!(f, "{line}")?;
         }
         Ok(())
     }

@@ -1,7 +1,6 @@
-//! Hierarchical span profiler.
+//! Hierarchical span profiler: the stack's one in-simulator timer.
 //!
-//! Where [`crate::span::Span`] records flat per-name histograms, the
-//! profiler maintains a *call tree*: every [`ProfileScope`] attaches to
+//! The profiler maintains a *call tree*: every [`ProfileScope`] attaches to
 //! the scope that was live when it started, so one run yields a tree of
 //! named nodes with call counts, total and self time — both simulated
 //! (deterministic) and wall-clock (the real cost of the code).
