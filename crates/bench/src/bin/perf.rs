@@ -49,7 +49,7 @@ use oasis_cluster::experiments::{figure8_at, run_one_at, Scale, CONS_SWEEP};
 use oasis_cluster::shard::{run_datacenter_day, DatacenterConfig, PlannerScope};
 use oasis_cluster::{ClusterConfig, ClusterSim};
 use oasis_core::PolicyKind;
-use oasis_sim::pool::JOBS_ENV;
+use oasis_sim::pool::{self, JOBS_ENV};
 use oasis_sim::WorkerPool;
 use oasis_telemetry::{Level, ProfileTree, Telemetry};
 use oasis_trace::{clear_trace_cache, DayKind};
@@ -224,13 +224,12 @@ fn rustc_version() -> String {
 /// above `nproc` is refused, because oversubscribed workers measure the
 /// scheduler rather than the simulator.
 fn jobs_from_env(nproc: usize) -> Result<usize, String> {
-    let Ok(v) = std::env::var(JOBS_ENV) else { return Ok(nproc.min(4)) };
-    match v.parse::<usize>() {
-        Ok(0) | Err(_) => Err(format!("invalid {JOBS_ENV} {v:?} (positive worker count)")),
-        Ok(n) if n > nproc => {
+    match pool::jobs_from_env()? {
+        None => Ok(nproc.min(4)),
+        Some(n) if n > nproc => {
             Err(format!("{JOBS_ENV}={n} exceeds nproc = {nproc}; refusing to oversubscribe"))
         }
-        Ok(n) => Ok(n),
+        Some(n) => Ok(n),
     }
 }
 

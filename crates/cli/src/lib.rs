@@ -51,7 +51,8 @@ use oasis_core::PolicyKind;
 use oasis_faults::{FaultProfile, FaultSchedule};
 use oasis_migration::lab::MicroLab;
 use oasis_power::MemoryServerProfile;
-use oasis_sim::{SimDuration, WorkerPool};
+use oasis_sim::pool::{self, WorkerPool};
+use oasis_sim::SimDuration;
 use oasis_telemetry::{FoldedMetric, JsonlSink, Level, Telemetry};
 use oasis_trace::{ActivityModel, DayKind, TraceSet};
 use oasis_vm::apps::DesktopWorkload;
@@ -220,13 +221,14 @@ const BASE_FLAGS: &[&str] = &[
 /// The worker pool requested by `--jobs`, falling back to `OASIS_JOBS`
 /// and then the machine's available parallelism.
 fn pool_from(args: &Args) -> WorkerPool {
-    match args.get("jobs") {
-        Some(v) => {
-            let jobs: usize = v.parse().unwrap_or_else(|_| fail("bad --jobs (want a count ≥ 1)"));
-            WorkerPool::new(jobs)
-        }
-        None => WorkerPool::from_env(),
-    }
+    let jobs = match args.get("jobs") {
+        Some(v) => Some(
+            pool::parse_jobs(v)
+                .unwrap_or_else(|| fail(format!("bad --jobs {v:?} (want a count ≥ 1)"))),
+        ),
+        None => pool::jobs_from_env().unwrap_or_else(|e| fail(e)),
+    };
+    jobs.map_or_else(WorkerPool::from_env, WorkerPool::new)
 }
 
 const SIM_FLAGS: &[&str] = &[
@@ -289,14 +291,14 @@ fn write_metrics(telemetry: &Telemetry, path: &str) {
 /// totals, the epoch planner's rebalance ledger and SLA violations.
 /// Deterministic for a fixed seed, byte-identical across `--jobs`
 /// worker counts.
-fn cmd_sim_datacenter(args: &Args, racks: u32) {
+fn cmd_sim_datacenter(args: &Args, racks: u32, pool: &WorkerPool) {
     for flag in ["trace-out", "metrics-out", "log-level"] {
         if args.get(flag).is_some() {
             fail(format!("--{flag} applies to the single-rack day (racks = 1)"));
         }
     }
     let dc = DatacenterConfig { base: cluster_config(args), racks, planner: planner_from(args) };
-    let mut report = run_datacenter_day(&pool_from(args), &dc, &|| 0.0);
+    let mut report = run_datacenter_day(pool, &dc, &|| 0.0);
     println!(
         "datacenter {:<14} racks={} hosts={} vms={} planner={}",
         dc.base.policy, report.racks, report.hosts, report.vms, report.planner
@@ -317,7 +319,7 @@ fn cmd_sim_datacenter(args: &Args, racks: u32) {
 /// Runs a named scenario from the registry and prints its digest line —
 /// the same bytes the golden suite locks, so a CI leg can diff two
 /// invocations directly.
-fn cmd_sim_scenario(args: &Args, spec: &ScenarioSpec) {
+fn cmd_sim_scenario(args: &Args, spec: &ScenarioSpec, pool: &WorkerPool) {
     for flag in ["scale", "racks", "homes", "cons", "vms", "trace-out", "metrics-out", "log-level"]
     {
         if args.get(flag).is_some() {
@@ -325,19 +327,19 @@ fn cmd_sim_scenario(args: &Args, spec: &ScenarioSpec) {
         }
     }
     let seed = args.get_or("seed", 1u64).unwrap_or_else(|e| fail(e));
-    let report =
-        scenarios::run_scenario_on(&pool_from(args), spec, seed).unwrap_or_else(|e| fail(e));
+    let report = scenarios::run_scenario_on(pool, spec, seed).unwrap_or_else(|e| fail(e));
     println!("{}", report.digest());
     println!("guards: {}", spec.guards);
 }
 
 fn cmd_sim(args: Args) {
+    let pool = pool_from(&args);
     if let Some(spec) = scenario_from(&args) {
-        return cmd_sim_scenario(&args, &spec);
+        return cmd_sim_scenario(&args, &spec, &pool);
     }
     let racks = racks_from(&args);
     if racks > 1 {
-        return cmd_sim_datacenter(&args, racks);
+        return cmd_sim_datacenter(&args, racks, &pool);
     }
     let cfg = cluster_config(&args);
     let telemetry = telemetry_from(&args);
@@ -396,14 +398,14 @@ const REPORT_FLAGS: &[&str] = &[
 /// Renders the datacenter digest (`oasis report` with racks > 1): fleet
 /// totals plus one fixed-order line per rack. Byte-identical across
 /// reruns and `--jobs` worker counts.
-fn cmd_report_datacenter(args: &Args, racks: u32) {
+fn cmd_report_datacenter(args: &Args, racks: u32, pool: &WorkerPool) {
     for flag in ["wall", "top", "folded", "folded-metric", "audit-out"] {
         if args.get(flag).is_some() {
             fail(format!("--{flag} applies to the single-rack report (racks = 1)"));
         }
     }
     let dc = DatacenterConfig { base: cluster_config(args), racks, planner: planner_from(args) };
-    let mut report = run_datacenter_day(&pool_from(args), &dc, &|| 0.0);
+    let mut report = run_datacenter_day(pool, &dc, &|| 0.0);
     let text = match args.get("format").unwrap_or("text") {
         "text" => report::render_datacenter_text(&mut report),
         "json" => report::render_datacenter_json(&mut report),
@@ -417,9 +419,9 @@ fn cmd_report_datacenter(args: &Args, racks: u32) {
 
 /// Prints the global-vs-local planner scorecard for the requested shape:
 /// two fixed-order table lines, seeded and golden-testable.
-fn cmd_report_scorecard(args: &Args, racks: u32) {
+fn cmd_report_scorecard(args: &Args, racks: u32, pool: &WorkerPool) {
     let dc = DatacenterConfig { base: cluster_config(args), racks, planner: planner_from(args) };
-    for row in planner_scorecard(&pool_from(args), &dc, &|| 0.0) {
+    for row in planner_scorecard(pool, &dc, &|| 0.0) {
         println!("{}", row.table_line());
     }
 }
@@ -427,15 +429,14 @@ fn cmd_report_scorecard(args: &Args, racks: u32) {
 /// Renders a named scenario's digest (`oasis report --scenario`):
 /// text by default, fixed-field-order JSON with `--format json`,
 /// written to `--out` when given.
-fn cmd_report_scenario(args: &Args, spec: &ScenarioSpec) {
+fn cmd_report_scenario(args: &Args, spec: &ScenarioSpec, pool: &WorkerPool) {
     for flag in ["wall", "top", "folded", "folded-metric", "audit-out", "scale", "racks"] {
         if args.get(flag).is_some() {
             fail(format!("--{flag} conflicts with --scenario"));
         }
     }
     let seed = args.get_or("seed", 1u64).unwrap_or_else(|e| fail(e));
-    let report =
-        scenarios::run_scenario_on(&pool_from(args), spec, seed).unwrap_or_else(|e| fail(e));
+    let report = scenarios::run_scenario_on(pool, spec, seed).unwrap_or_else(|e| fail(e));
     let text = match args.get("format").unwrap_or("text") {
         "text" => report::render_scenario_text(spec, &report),
         "json" => report::render_scenario_json(&report),
@@ -448,15 +449,16 @@ fn cmd_report_scenario(args: &Args, spec: &ScenarioSpec) {
 }
 
 fn cmd_report(args: Args) {
+    let pool = pool_from(&args);
     if let Some(spec) = scenario_from(&args) {
-        return cmd_report_scenario(&args, &spec);
+        return cmd_report_scenario(&args, &spec, &pool);
     }
     let racks = racks_from(&args);
     if args.get_or("scorecard", false).unwrap_or_else(|e| fail(e)) {
-        return cmd_report_scorecard(&args, racks);
+        return cmd_report_scorecard(&args, racks, &pool);
     }
     if racks > 1 {
-        return cmd_report_datacenter(&args, racks);
+        return cmd_report_datacenter(&args, racks, &pool);
     }
     let cfg = cluster_config(&args);
     let include_wall = args.get_or("wall", false).unwrap_or_else(|e| fail(e));

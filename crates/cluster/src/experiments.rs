@@ -24,7 +24,6 @@ use oasis_trace::DayKind;
 
 use crate::config::ClusterConfig;
 use crate::results::SimReport;
-use crate::shard::{DatacenterConfig, DatacenterReport, PlannerScope, ScorecardRow};
 use crate::sim::ClusterSim;
 
 /// Cluster scale an experiment runs at.
@@ -85,12 +84,6 @@ impl Scale {
         } else {
             oasis_mem::ByteSize::gib(128)
         }
-    }
-
-    /// Total hosts across all racks, with `cons` consolidation hosts
-    /// per rack.
-    pub fn total_hosts(&self, cons: u32) -> u32 {
-        self.racks * (self.home_hosts + cons)
     }
 
     /// Total VMs across all racks.
@@ -325,42 +318,6 @@ pub fn figure12_on(pool: &WorkerPool, day: DayKind, runs: u64) -> Vec<(u32, u32,
         }
     }
     out
-}
-
-/// Runs one sharded datacenter day at `scale` under the paper's default
-/// FulltoPartial policy (pool sized from `OASIS_JOBS`).
-pub fn run_datacenter(scale: Scale, planner: PlannerScope, seed: u64) -> DatacenterReport {
-    run_datacenter_on(&WorkerPool::from_env(), scale, planner, seed)
-}
-
-/// [`run_datacenter`] on an explicit worker pool.
-pub fn run_datacenter_on(
-    pool: &WorkerPool,
-    scale: Scale,
-    planner: PlannerScope,
-    seed: u64,
-) -> DatacenterReport {
-    let dc = DatacenterConfig::at(scale, PolicyKind::FullToPartial, DayKind::Weekday, seed)
-        .planner(planner);
-    crate::shard::run_datacenter_day(pool, &dc, &|| 0.0)
-}
-
-/// The global-vs-local epoch-planner scorecard (ROADMAP item 3's shape:
-/// energy, SLA violations, migration bytes per policy) at `scale`.
-pub fn datacenter_scorecard_at(pool: &WorkerPool, scale: Scale, seed: u64) -> Vec<ScorecardRow> {
-    let dc = DatacenterConfig::at(scale, PolicyKind::FullToPartial, DayKind::Weekday, seed);
-    crate::shard::planner_scorecard(pool, &dc, &|| 0.0)
-}
-
-/// Runs one named scenario from [`crate::scenarios`] by registry name
-/// (pool sized from `OASIS_JOBS`). `None` when the name is unknown; the
-/// inner `Result` carries config errors from instantiating the spec.
-pub fn run_scenario_by_name(
-    name: &str,
-    seed: u64,
-) -> Option<Result<crate::scenarios::ScenarioReport, crate::config::ConfigError>> {
-    let spec = crate::scenarios::find(name)?;
-    Some(crate::scenarios::run_scenario(&spec, seed))
 }
 
 #[cfg(test)]

@@ -60,6 +60,9 @@ fn faulted_config(seed: u64) -> ClusterConfig {
         .expect("valid configuration")
 }
 
+/// The figure 8 sweep is the same on 2, 4 and 8 workers as on one.
+/// Catches a `WorkerPool::map` that returns results in completion order
+/// rather than input order: the runs land in the wrong sweep cells.
 #[test]
 fn figure8_parallel_matches_sequential() {
     let seq = figure8_at(&WorkerPool::sequential(), Scale::SMOKE, DayKind::Weekday, 2);
@@ -69,6 +72,9 @@ fn figure8_parallel_matches_sequential() {
     }
 }
 
+/// The Table 3 sweep is the same on four workers as on one. Catches a
+/// `WorkerPool::map` that returns results in completion order: the runs'
+/// savings are averaged under the wrong memory-server power.
 #[test]
 fn table3_parallel_matches_sequential() {
     let seq = table3_at(&WorkerPool::sequential(), Scale::SMOKE, 2);
@@ -76,6 +82,8 @@ fn table3_parallel_matches_sequential() {
     assert_eq!(format!("{par:?}"), format!("{seq:?}"));
 }
 
+/// A week is the same on four workers as on one. Catches a day whose
+/// run seed is mixed with the index of the worker that runs it.
 #[test]
 fn run_week_parallel_matches_sequential() {
     for seed in [1u64, 42] {
@@ -86,6 +94,9 @@ fn run_week_parallel_matches_sequential() {
     }
 }
 
+/// A week under a heavy random fault schedule is the same on four
+/// workers as on one. Catches a `WorkerPool::map` that returns the days
+/// in completion order.
 #[test]
 fn run_week_parallel_matches_sequential_under_faults() {
     let cfg = faulted_config(7);
@@ -129,6 +140,10 @@ fn week_stream(pool: &WorkerPool, base: &ClusterConfig) -> Vec<u8> {
     bytes
 }
 
+/// Per-worker event buffers replayed in input order give the sequential
+/// JSONL stream byte for byte. Catches event sequence numbers drawn from
+/// one process-wide counter rather than per telemetry bus: the workers'
+/// events interleave their numbers.
 #[test]
 fn per_worker_event_buffers_replay_to_the_sequential_stream() {
     let cfg = faulted_config(3);

@@ -18,6 +18,7 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
+use oasis_cluster::experiments::Scale;
 use oasis_cluster::shard::{
     run_datacenter_day, run_datacenter_day_with, DatacenterConfig, PlannerScope,
 };
@@ -26,6 +27,7 @@ use oasis_core::PolicyKind;
 use oasis_faults::{Fault, FaultClass, FaultSchedule};
 use oasis_sim::{SimDuration, SimTime, WorkerPool};
 use oasis_telemetry::{JsonlSink, Level, Telemetry};
+use oasis_trace::DayKind;
 
 /// A `Write` handle over a shared buffer, so the test can read back what
 /// the boxed sink wrote.
@@ -49,10 +51,11 @@ impl SharedBuf {
     }
 }
 
-/// A fault day: wake failures, a memory-server crash, a degraded link.
-fn fault_schedule() -> FaultSchedule {
+/// A fault day: hosts `0..wake_failing` fail to wake all day, then a
+/// memory-server crash and a degraded link.
+fn fault_schedule(wake_failing: u32) -> FaultSchedule {
     let mut faults = Vec::new();
-    for h in 0..6 {
+    for h in 0..wake_failing {
         faults.push(Fault {
             kind: FaultClass::WakeFailure,
             host: Some(h),
@@ -123,6 +126,9 @@ fn sharded_day(pool: &WorkerPool, dc: &DatacenterConfig) -> (Vec<String>, Vec<St
     (streams, reports)
 }
 
+/// A one-rack sharded day is the monolithic day: same report, same
+/// stream. Catches a `rack_config` that re-seeds rack 0 like the other
+/// racks instead of passing the template through verbatim.
 #[test]
 fn single_rack_sharded_day_is_the_monolithic_day() {
     for seed in [1u64, 2, 3] {
@@ -135,18 +141,24 @@ fn single_rack_sharded_day_is_the_monolithic_day() {
     }
 }
 
+/// The same collapse under a fault schedule. Catches a `rack_config`
+/// that drops the template's fault schedule, which the fault-free day
+/// above cannot see.
 #[test]
 fn single_rack_sharded_day_under_faults_is_the_monolithic_day() {
     for seed in [1u64, 2, 3] {
-        let (mono_stream, mono_report) = monolithic_day(template(seed, fault_schedule()));
+        let (mono_stream, mono_report) = monolithic_day(template(seed, fault_schedule(6)));
         let (streams, reports) =
-            sharded_day(&WorkerPool::sequential(), &dc(1, seed, fault_schedule()));
+            sharded_day(&WorkerPool::sequential(), &dc(1, seed, fault_schedule(6)));
         assert!(mono_stream.contains("\"kind\":\"fault_injected\""));
         assert_eq!(reports, vec![mono_report], "seed {seed}: faulted report diverged");
         assert_eq!(streams, vec![mono_stream], "seed {seed}: faulted stream diverged");
     }
 }
 
+/// Four racks give the same per-rack reports and streams on four
+/// workers as on one, under both planners. Catches a rack whose run seed
+/// is mixed with the index of the worker that builds it.
 #[test]
 fn multi_rack_day_is_bit_identical_across_worker_counts() {
     for planner in [PlannerScope::Global, PlannerScope::Local] {
@@ -159,9 +171,22 @@ fn multi_rack_day_is_bit_identical_across_worker_counts() {
     }
 }
 
+/// The fleet summary, rebalance ledger included, is the same on three
+/// workers as on one. Catches a parallel path that steps each rack
+/// through the whole day in one `pool.map` call, skipping the epoch
+/// barriers and the capacity grants between them.
 #[test]
 fn datacenter_summary_is_deterministic_across_worker_counts() {
-    let cfg = dc(4, 3, fault_schedule());
+    // The smoke fleet's 32 GiB racks, with no wake failures: on the
+    // 128 GiB template, or with homes that never wake, the global planner
+    // issues no grant and the rebalance ledger compares zero with zero.
+    let mut cfg = DatacenterConfig::at(
+        Scale { racks: 12, ..Scale::SMOKE },
+        PolicyKind::FullToPartial,
+        DayKind::Weekday,
+        3,
+    );
+    cfg.base.faults = fault_schedule(0);
     let summarize = |pool: &WorkerPool| {
         let mut report = run_datacenter_day(pool, &cfg, &|| 0.0);
         (
@@ -175,5 +200,7 @@ fn datacenter_summary_is_deterministic_across_worker_counts() {
             report.sla_violations(10.0),
         )
     };
-    assert_eq!(summarize(&WorkerPool::sequential()), summarize(&WorkerPool::new(3)));
+    let seq = summarize(&WorkerPool::sequential());
+    assert!(seq.5 > 0, "the epoch planner traded capacity");
+    assert_eq!(summarize(&WorkerPool::new(3)), seq);
 }

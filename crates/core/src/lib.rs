@@ -13,20 +13,16 @@
 //!   `FulltoPartial`, `NewHome`) plus two baselines (`AlwaysOn`,
 //!   `FullOnly`).
 //! * [`placement`] — the greedy vacate planner and destination selection.
-//! * [`idleness`] — dirty-rate based idleness detection (§3.1).
 //! * [`manager`] — the cluster manager façade that ties them together.
 //! * [`rebalance`] — inter-rack capacity rebalancing for the
 //!   datacenter tier's epoch-barrier planner.
-//! * [`rpc`] — the client-facing RPC interface of §4.1.
 
 #![warn(missing_docs)]
 
-pub mod idleness;
 pub mod manager;
 pub mod placement;
 pub mod policy;
 pub mod rebalance;
-pub mod rpc;
 pub mod view;
 
 pub use manager::ClusterManager;

@@ -5,7 +5,6 @@
 //! and agents use: create a VM from a configuration file, plan an interval
 //! of consolidations, and react to partial-VM activations.
 
-use oasis_mem::ByteSize;
 use oasis_sim::{SimDuration, SimRng, SimTime};
 use oasis_telemetry::metrics::Counter;
 use oasis_telemetry::Telemetry;
@@ -251,28 +250,6 @@ impl ClusterManager {
         decision
     }
 
-    /// Picks a compute host for a newly created VM (§4.1: "identifies a
-    /// host with sufficient resources to accommodate the VM").
-    ///
-    /// Prefers powered compute hosts; if none fits, returns a sleeping
-    /// compute host (the caller wakes it with Wake-on-LAN first).
-    pub fn place_new_vm(&mut self, view: &ClusterView, allocation: ByteSize) -> Option<HostId> {
-        let powered: Vec<HostId> = view
-            .compute_hosts()
-            .filter(|h| h.powered && view.free_on(h.id) >= allocation)
-            .map(|h| h.id)
-            .collect();
-        if let Some(&h) = self.rng.choose(&powered) {
-            return Some(h);
-        }
-        let sleeping: Vec<HostId> = view
-            .compute_hosts()
-            .filter(|h| !h.powered && view.free_on(h.id) >= allocation)
-            .map(|h| h.id)
-            .collect();
-        self.rng.choose(&sleeping).copied()
-    }
-
     /// Hosts that should transition to sleep: powered hosts with no VMs
     /// located on them (§3.1 "when to sleep").
     pub fn hosts_to_sleep(&self, view: &ClusterView) -> Vec<HostId> {
@@ -299,6 +276,7 @@ impl ClusterManager {
 mod tests {
     use super::*;
     use crate::view::testutil::small_cluster;
+    use oasis_mem::ByteSize;
 
     fn manager(policy: PolicyKind) -> ClusterManager {
         ClusterManager::new(ManagerConfig { policy, ..ManagerConfig::default() }, 7)
@@ -320,35 +298,6 @@ mod tests {
         assert!(!actions.is_empty());
         assert_eq!(m.stats().rounds, 1);
         assert_eq!(m.stats().actions, actions.len() as u64);
-    }
-
-    #[test]
-    fn place_new_vm_prefers_powered_hosts() {
-        let mut m = manager(PolicyKind::Default);
-        let view = small_cluster(3, 1, 2);
-        let host = m.place_new_vm(&view, ByteSize::gib(4)).unwrap();
-        assert!(view.host(host).unwrap().powered);
-        assert_eq!(view.host(host).unwrap().role, HostRole::Compute);
-    }
-
-    #[test]
-    fn place_new_vm_wakes_sleeping_compute_host_when_full() {
-        let mut m = manager(PolicyKind::Default);
-        let mut view = small_cluster(2, 1, 2);
-        // Saturate host 0, put host 1 to sleep with no VMs.
-        view.hosts[0].capacity = ByteSize::gib(8);
-        view.hosts[1].powered = false;
-        view.vms.retain(|v| v.home == HostId(0));
-        let host = m.place_new_vm(&view, ByteSize::gib(4)).unwrap();
-        assert_eq!(host, HostId(1));
-    }
-
-    #[test]
-    fn place_new_vm_fails_when_cluster_full() {
-        let mut m = manager(PolicyKind::Default);
-        let mut view = small_cluster(1, 1, 2);
-        view.hosts[0].capacity = ByteSize::gib(8);
-        assert_eq!(m.place_new_vm(&view, ByteSize::gib(4)), None);
     }
 
     #[test]

@@ -545,17 +545,9 @@ pub fn plan_consolidation_traced(
 }
 
 /// Handles a partial VM that became active (§3.2 state-change policies).
-pub fn on_partial_activated(
-    view: &ClusterView,
-    vm_id: VmId,
-    policy: PolicyKind,
-    rng: &mut SimRng,
-) -> Option<ActivationDecision> {
-    on_partial_activated_with_stats(view, vm_id, policy, rng).0
-}
-
-/// [`on_partial_activated`] plus the number of placement candidates the
-/// policy examined, for the decision audit trail.
+///
+/// Also returns the number of placement candidates the policy examined,
+/// for the decision audit trail.
 pub fn on_partial_activated_with_stats(
     view: &ClusterView,
     vm_id: VmId,
@@ -603,6 +595,11 @@ mod tests {
 
     fn rng() -> SimRng {
         SimRng::new(42)
+    }
+
+    /// The activation decision alone, on a fresh seeded RNG.
+    fn activated(view: &ClusterView, vm: VmId, policy: PolicyKind) -> Option<ActivationDecision> {
+        on_partial_activated_with_stats(view, vm, policy, &mut rng()).0
     }
 
     /// Planner config without promotion headroom, for tests that size
@@ -771,7 +768,7 @@ mod tests {
         view.vms[0].partial = true;
         view.vms[0].state = VmState::Active;
         view.vms[0].demand = ByteSize::mib(165);
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng());
+        let d = activated(&view, view.vms[0].id, PolicyKind::Default);
         assert_eq!(d, Some(ActivationDecision::PromoteInPlace { vm: view.vms[0].id }));
     }
 
@@ -787,7 +784,7 @@ mod tests {
             vm.demand = ByteSize::mib(165);
         }
         view.vms[0].state = VmState::Active;
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng());
+        let d = activated(&view, view.vms[0].id, PolicyKind::Default);
         match d {
             Some(ActivationDecision::ReturnHome { home, vms }) => {
                 assert_eq!(home, HostId(0));
@@ -809,7 +806,7 @@ mod tests {
         }
         view.vms[0].state = VmState::Active;
         // Home hosts 0 and 1 are powered with 192 GiB free.
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::NewHome, &mut rng());
+        let d = activated(&view, view.vms[0].id, PolicyKind::NewHome);
         match d {
             Some(ActivationDecision::MoveTo { destination, .. }) => {
                 assert!(destination == HostId(0) || destination == HostId(1));
@@ -825,19 +822,16 @@ mod tests {
         view.vms[0].location = HostId(1);
         view.vms[0].partial = true;
         view.vms[0].demand = ByteSize::mib(165);
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::OnlyPartial, &mut rng());
+        let d = activated(&view, view.vms[0].id, PolicyKind::OnlyPartial);
         assert!(matches!(d, Some(ActivationDecision::ReturnHome { .. })));
     }
 
     #[test]
     fn activation_of_full_vm_is_none() {
         let view = small_cluster(1, 1, 1);
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng());
+        let d = activated(&view, view.vms[0].id, PolicyKind::Default);
         assert_eq!(d, None);
-        assert_eq!(
-            on_partial_activated(&view, oasis_vm::VmId(9_999), PolicyKind::Default, &mut rng()),
-            None
-        );
+        assert_eq!(activated(&view, oasis_vm::VmId(9_999), PolicyKind::Default), None);
     }
 
     #[test]

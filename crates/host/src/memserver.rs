@@ -28,14 +28,10 @@ pub enum DriveOwner {
     Detached,
 }
 
-/// Magic bytes of the drive image index.
-const IMAGE_MAGIC: &[u8; 8] = b"OASISIMG";
-
 /// Pages one VM image may span: stored pfns run `0..MAX_IMAGE_PAGES`.
 ///
 /// Images are indexed densely by pfn, so this cap is what bounds the
-/// memory a crafted pfn — in an upload or an on-disk index — can make the
-/// server allocate. 2^24 pages is 64 GiB of guest memory, 16× the paper's
+/// memory a crafted pfn in an upload can make the server allocate. 2^24 pages is 64 GiB of guest memory, 16× the paper's
 /// 4 GiB desktop VMs; the largest index it allows is 64 MiB.
 pub const MAX_IMAGE_PAGES: u64 = 1 << 24;
 
@@ -61,8 +57,6 @@ pub enum MsError {
     OversizedPage(VmId, PageNum, ByteSize),
     /// Both sides tried to mount at once.
     DriveBusy,
-    /// An on-disk image index failed to parse.
-    CorruptImage,
     /// The serving daemon has crashed and not yet restarted.
     Crashed,
 }
@@ -81,7 +75,6 @@ impl core::fmt::Display for MsError {
                 write!(f, "{id}: {p:?} length {size} does not fit the on-disk field")
             }
             MsError::DriveBusy => write!(f, "drive already mounted elsewhere"),
-            MsError::CorruptImage => write!(f, "corrupt on-disk image index"),
             MsError::Crashed => write!(f, "serving daemon crashed"),
         }
     }
@@ -149,18 +142,9 @@ impl Image {
         self.lens.get(page.0 as usize).copied().filter(|&len| len != ABSENT)
     }
 
-    /// Stored `(pfn, compressed length)` pairs in ascending pfn order.
-    fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.lens
-            .iter()
-            .enumerate()
-            .filter(|&(_, &len)| len != ABSENT)
-            .map(|(i, &len)| (i as u64, len))
-    }
-
     /// Total compressed bytes stored.
     fn bytes(&self) -> u64 {
-        self.iter().map(|(_, len)| u64::from(len)).sum()
+        self.lens.iter().filter(|&&len| len != ABSENT).map(|&len| u64::from(len)).sum()
     }
 
     fn clear(&mut self) {
@@ -411,59 +395,6 @@ impl MemoryServer {
         self.images.get(&vm).map_or(0, |img| img.stored)
     }
 
-    /// Serializes a VM's image index to the on-disk format.
-    ///
-    /// The drive layout the host and the low-power processor exchange:
-    /// a magic header, the vmid, and one `(pfn, compressed length)`
-    /// record per page in ascending pfn order. Returns `None` for unknown
-    /// VMs.
-    pub fn export_image(&self, vm: VmId) -> Option<Vec<u8>> {
-        let image = self.images.get(&vm)?;
-        let mut out = Vec::with_capacity(24 + image.stored as usize * 12);
-        out.extend_from_slice(IMAGE_MAGIC);
-        out.extend_from_slice(&vm.0.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]); // Reserved / alignment.
-        out.extend_from_slice(&image.stored.to_le_bytes());
-        for (pfn, len) in image.iter() {
-            out.extend_from_slice(&pfn.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        Some(out)
-    }
-
-    /// Restores a VM's image index from the on-disk format (e.g. after
-    /// the low-power processor rebooted and re-attached the drive).
-    ///
-    /// Requires the drive mounted at the host, like uploads. A record
-    /// repeating an earlier pfn replaces it. A pfn at or beyond
-    /// [`MAX_IMAGE_PAGES`], or a length of `u32::MAX`, makes the index
-    /// [`MsError::CorruptImage`].
-    pub fn import_image(&mut self, bytes: &[u8]) -> Result<VmId, MsError> {
-        if self.drive != DriveOwner::Host {
-            return Err(MsError::DriveNotMounted(self.drive));
-        }
-        let err = |_| MsError::CorruptImage;
-        if bytes.len() < 24 || &bytes[..8] != IMAGE_MAGIC {
-            return Err(MsError::CorruptImage);
-        }
-        let vm = VmId(u32::from_le_bytes(bytes[8..12].try_into().map_err(err)?));
-        let count = u64::from_le_bytes(bytes[16..24].try_into().map_err(err)?);
-        let records = &bytes[24..];
-        if count.checked_mul(12) != Some(records.len() as u64) {
-            return Err(MsError::CorruptImage);
-        }
-        let mut image = Image::default();
-        for rec in records.chunks_exact(12) {
-            let pfn = u64::from_le_bytes(rec[..8].try_into().map_err(err)?);
-            let len = u32::from_le_bytes(rec[8..12].try_into().map_err(err)?);
-            image
-                .insert(vm, PageNum(pfn), ByteSize::bytes(u64::from(len)))
-                .map_err(|_| MsError::CorruptImage)?;
-        }
-        self.images.insert(vm, image);
-        Ok(vm)
-    }
-
     /// Total compressed bytes stored across all images.
     pub fn stored_bytes(&self) -> ByteSize {
         ByteSize::bytes(self.images.values().map(Image::bytes).sum())
@@ -576,62 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn image_export_import_round_trips() {
-        let mut ms = server();
-        ms.upload(VmId(1), pages(0..100, 1_500), false).unwrap();
-        ms.upload(VmId(1), pages(200..210, 900), true).unwrap();
-        let blob = ms.export_image(VmId(1)).unwrap();
-        assert!(blob.starts_with(b"OASISIMG"));
-        assert_eq!(ms.export_image(VmId(9)), None);
-
-        // A fresh server (rebooted low-power processor) restores it.
-        let mut fresh = server();
-        assert_eq!(fresh.import_image(&blob), Ok(VmId(1)));
-        assert_eq!(fresh.stored_pages(VmId(1)), 110);
-        fresh.handoff_to_server().unwrap();
-        assert_eq!(fresh.serve_page(VmId(1), PageNum(205)).unwrap(), ByteSize::bytes(900));
-        assert_eq!(fresh.stored_bytes(), ms.stored_bytes());
-    }
-
-    #[test]
-    fn image_import_rejects_corruption() {
-        let mut ms = server();
-        ms.upload(VmId(1), pages(0..10, 500), false).unwrap();
-        let blob = ms.export_image(VmId(1)).unwrap();
-        let mut fresh = server();
-        assert_eq!(fresh.import_image(&[]), Err(MsError::CorruptImage));
-        assert_eq!(
-            fresh.import_image(&blob[..blob.len() - 1]),
-            Err(MsError::CorruptImage),
-            "truncated record section"
-        );
-        let mut bad_magic = blob.clone();
-        bad_magic[0] ^= 1;
-        assert_eq!(fresh.import_image(&bad_magic), Err(MsError::CorruptImage));
-        // Import requires the drive at the host, like uploads.
-        let mut serving = server();
-        serving.handoff_to_server().unwrap();
-        assert!(matches!(
-            serving.import_image(&blob),
-            Err(MsError::DriveNotMounted(DriveOwner::Server))
-        ));
-    }
-
-    /// Builds an on-disk index by hand, records in the given order.
-    fn blob(vm: u32, records: &[(u64, u32)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(IMAGE_MAGIC);
-        out.extend_from_slice(&vm.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]);
-        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-        for &(pfn, len) in records {
-            out.extend_from_slice(&pfn.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        out
-    }
-
-    #[test]
     fn upload_rejects_length_beyond_on_disk_field() {
         let mut ms = server();
         // The length field is a u32: a larger size used to be truncated on
@@ -656,26 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn import_with_duplicate_pfns_keeps_the_last_record() {
-        let records = [(9, 700), (2, 1_500), (9, 300), (0, 42), (2, 1_500)];
-        let mut ms = server();
-        assert_eq!(ms.import_image(&blob(3, &records)), Ok(VmId(3)));
-        assert_eq!(ms.stored_pages(VmId(3)), 3, "distinct pfns");
-        assert_eq!(ms.stored_bytes(), ByteSize::bytes(42 + 1_500 + 300));
-        // The export the BTreeMap-backed server produced for this input:
-        // three records in ascending pfn order, pfn 9 holding its last length.
-        #[rustfmt::skip]
-        let expected: [u8; 60] = [
-            79, 65, 83, 73, 83, 73, 77, 71, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0,
-            2, 0, 0, 0, 0, 0, 0, 0, 220, 5, 0, 0,
-            9, 0, 0, 0, 0, 0, 0, 0, 44, 1, 0, 0,
-        ];
-        assert_eq!(ms.export_image(VmId(3)).unwrap(), expected);
-    }
-
-    #[test]
-    fn image_limit_bounds_upload_and_import() {
+    fn image_limit_bounds_upload() {
         let last = PageNum(MAX_IMAGE_PAGES - 1);
         let beyond = PageNum(MAX_IMAGE_PAGES);
         let mut ms = server();
@@ -683,27 +539,10 @@ mod tests {
         let batch = [(PageNum(0), ByteSize::bytes(600)), (beyond, ByteSize::bytes(600))];
         assert_eq!(ms.upload(VmId(1), batch, true), Err(MsError::PageOutOfRange(VmId(1), beyond)));
         assert_eq!(ms.stored_pages(VmId(1)), 0, "a failed upload discards the image");
-        assert_eq!(ms.export_image(VmId(1)), None);
         ms.upload(VmId(1), [(last, ByteSize::bytes(600))], false).unwrap();
         assert_eq!(ms.stored_pages(VmId(1)), 1);
-        ms.remove_vm(VmId(1));
-
-        let mut fresh = server();
-        assert_eq!(fresh.import_image(&blob(2, &[(beyond.0, 10)])), Err(MsError::CorruptImage));
-        assert_eq!(fresh.import_image(&blob(2, &[(u64::MAX, 10)])), Err(MsError::CorruptImage));
-        assert_eq!(fresh.stored_pages(VmId(2)), 0);
-        assert_eq!(fresh.import_image(&blob(2, &[(last.0, 10)])), Ok(VmId(2)));
-        fresh.handoff_to_server().unwrap();
-        assert_eq!(fresh.serve_page(VmId(2), last), Ok(ByteSize::bytes(10)));
-    }
-
-    #[test]
-    fn import_rejects_absent_marker_and_overflowing_count() {
-        let mut ms = server();
-        assert_eq!(ms.import_image(&blob(2, &[(0, u32::MAX)])), Err(MsError::CorruptImage));
-        let mut huge = blob(2, &[]);
-        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(ms.import_image(&huge), Err(MsError::CorruptImage));
+        ms.handoff_to_server().unwrap();
+        assert_eq!(ms.serve_page(VmId(1), last), Ok(ByteSize::bytes(600)));
     }
 
     #[test]
@@ -724,12 +563,6 @@ mod tests {
             Err(MsError::UnknownPage(VmId(1), PageNum(500))),
             "the gap grown over stays absent"
         );
-        let exported = ms.export_image(VmId(1)).unwrap();
-        let pfns: Vec<u64> = exported[24..]
-            .chunks_exact(12)
-            .map(|rec| u64::from_le_bytes(rec[..8].try_into().unwrap()))
-            .collect();
-        assert_eq!(pfns, (0..10).chain(1_000..1_003).collect::<Vec<_>>());
     }
 
     #[test]

@@ -119,24 +119,6 @@ impl ChunkAllocator {
             0
         }
     }
-
-    /// Internal fragmentation: fraction of reserved frames left unused.
-    pub fn fragmentation(&self) -> f64 {
-        let reserved: u64 =
-            self.owners.values().map(|o| o.chunks.len() as u64 * FRAMES_PER_CHUNK).sum();
-        if reserved == 0 {
-            return 0.0;
-        }
-        let used: u64 = self
-            .owners
-            .keys()
-            .copied()
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|&o| self.used_frames(o))
-            .sum();
-        1.0 - used as f64 / reserved as f64
-    }
 }
 
 #[cfg(test)]
@@ -208,19 +190,5 @@ mod tests {
         let f = a.alloc_frame(3).unwrap();
         assert_eq!(f, MachineFrame(0));
         assert_eq!(a.free_owner(99), 0, "unknown owner frees nothing");
-    }
-
-    #[test]
-    fn fragmentation_accounting() {
-        let mut a = ChunkAllocator::new(ByteSize::mib(8));
-        assert_eq!(a.fragmentation(), 0.0);
-        a.alloc_frame(1).unwrap();
-        // 1 of 512 frames used in one reserved chunk.
-        let frag = a.fragmentation();
-        assert!((frag - 511.0 / 512.0).abs() < 1e-9, "frag {frag}");
-        for _ in 0..(FRAMES_PER_CHUNK - 1) {
-            a.alloc_frame(1).unwrap();
-        }
-        assert_eq!(a.fragmentation(), 0.0);
     }
 }

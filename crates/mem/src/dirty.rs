@@ -1,13 +1,7 @@
-//! Dirty-page logging and dirtying-rate monitoring.
+//! Dirty-page logging.
 //!
-//! Two consumers need dirty information:
-//!
-//! * **Differential upload and reintegration** (§4.2–4.3) need the exact
-//!   set of pages dirtied since an epoch boundary — [`DirtyLog`].
-//! * **Idleness detection** (§3.1) monitors a VM's page-dirtying *rate*
-//!   from the hypervisor — [`DirtyRateMonitor`].
-
-use oasis_sim::{SimDuration, SimTime};
+//! Differential upload and reintegration (§4.2–4.3) need the exact set of
+//! pages dirtied since an epoch boundary — [`DirtyLog`].
 
 use crate::addr::PageNum;
 use crate::bitmap::Bitmap;
@@ -56,71 +50,6 @@ impl DirtyLog {
     }
 }
 
-/// Sliding-window estimate of a VM's page-dirtying rate.
-///
-/// The cluster manager classifies a VM as idle when its dirtying rate stays
-/// under a threshold for a full observation window (§3.1). The monitor
-/// keeps per-bucket write counts over a ring of fixed-width buckets.
-#[derive(Clone, Debug)]
-pub struct DirtyRateMonitor {
-    bucket_width: SimDuration,
-    buckets: Vec<u64>,
-    /// Index of the bucket that currently absorbs samples.
-    head_bucket: u64,
-}
-
-impl DirtyRateMonitor {
-    /// Creates a monitor averaging over `buckets` windows of `bucket_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0` or `bucket_width` is zero.
-    pub fn new(bucket_width: SimDuration, buckets: usize) -> Self {
-        assert!(buckets > 0 && !bucket_width.is_zero(), "invalid monitor window");
-        DirtyRateMonitor { bucket_width, buckets: vec![0; buckets], head_bucket: 0 }
-    }
-
-    fn bucket_index_of(&self, now: SimTime) -> u64 {
-        now.as_micros() / self.bucket_width.as_micros()
-    }
-
-    fn rotate_to(&mut self, now: SimTime) {
-        let target = self.bucket_index_of(now);
-        let n = self.buckets.len() as u64;
-        if target <= self.head_bucket {
-            return;
-        }
-        let steps = (target - self.head_bucket).min(n);
-        for s in 1..=steps {
-            let idx = ((self.head_bucket + s) % n) as usize;
-            self.buckets[idx] = 0;
-        }
-        self.head_bucket = target;
-    }
-
-    /// Records `pages` dirtied at `now`.
-    pub fn record(&mut self, now: SimTime, pages: u64) {
-        self.rotate_to(now);
-        let n = self.buckets.len() as u64;
-        let idx = (self.head_bucket % n) as usize;
-        self.buckets[idx] += pages;
-    }
-
-    /// Dirtying rate in pages per second over the window ending at `now`.
-    pub fn rate_per_sec(&mut self, now: SimTime) -> f64 {
-        self.rotate_to(now);
-        let total: u64 = self.buckets.iter().sum();
-        let window = self.bucket_width.as_secs_f64() * self.buckets.len() as f64;
-        total as f64 / window
-    }
-
-    /// Total pages recorded in the current window.
-    pub fn window_total(&mut self, now: SimTime) -> u64 {
-        self.rotate_to(now);
-        self.buckets.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,40 +78,5 @@ mod tests {
         log.record(PageNum(1_000_000));
         assert_eq!(log.dirty_count(), 0);
         assert!(!log.is_dirty(PageNum(10)));
-    }
-
-    #[test]
-    fn rate_monitor_steady_rate() {
-        let mut m = DirtyRateMonitor::new(SimDuration::from_secs(10), 6);
-        // 100 pages every 10 s for a minute = 10 pages/s.
-        for i in 0..6 {
-            m.record(SimTime::from_secs(i * 10 + 1), 100);
-        }
-        let rate = m.rate_per_sec(SimTime::from_secs(59));
-        assert!((rate - 10.0).abs() < 0.01, "rate {rate}");
-    }
-
-    #[test]
-    fn rate_monitor_expires_old_buckets() {
-        let mut m = DirtyRateMonitor::new(SimDuration::from_secs(10), 3);
-        m.record(SimTime::from_secs(0), 300);
-        assert_eq!(m.window_total(SimTime::from_secs(5)), 300);
-        // After the full 30 s window passes, the burst ages out.
-        assert_eq!(m.window_total(SimTime::from_secs(40)), 0);
-        assert_eq!(m.rate_per_sec(SimTime::from_secs(40)), 0.0);
-    }
-
-    #[test]
-    fn rate_monitor_long_gap_does_not_overflow() {
-        let mut m = DirtyRateMonitor::new(SimDuration::from_secs(1), 4);
-        m.record(SimTime::from_secs(0), 10);
-        m.record(SimTime::from_secs(1_000_000), 5);
-        assert_eq!(m.window_total(SimTime::from_secs(1_000_000)), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid monitor window")]
-    fn zero_buckets_panics() {
-        DirtyRateMonitor::new(SimDuration::from_secs(1), 0);
     }
 }

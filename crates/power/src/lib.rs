@@ -12,13 +12,10 @@
 //!   resume with the measured 3.1 s / 2.3 s latencies.
 //! * [`meter`] — watt-level energy integration producing the joules and
 //!   kilowatt-hours behind the savings percentages of §5.
-//! * [`dvfs`] — the P-state/governor model behind §1's observation that
-//!   CPU scaling alone cannot make servers energy-proportional.
 
 #![warn(missing_docs)]
 
 pub mod acpi;
-pub mod dvfs;
 pub mod meter;
 pub mod profile;
 pub mod state;

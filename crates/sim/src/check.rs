@@ -94,12 +94,6 @@ impl Gen {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.usize_in(0, items.len())]
     }
-
-    /// An ASCII string over `charset` with length in `[lo, hi)`.
-    pub fn string(&mut self, charset: &str, lo: usize, hi: usize) -> String {
-        let chars: Vec<char> = charset.chars().collect();
-        self.vec(lo, hi, |g| *g.pick(&chars)).into_iter().collect()
-    }
 }
 
 /// Runs `property` for `cases` deterministic cases.
@@ -141,8 +135,6 @@ mod tests {
             assert!((-1.0..1.0).contains(&f));
             let v = g.vec(2, 5, |g| g.byte());
             assert!((2..5).contains(&v.len()));
-            let s = g.string("ab", 1, 4);
-            assert!(!s.is_empty() && s.chars().all(|c| c == 'a' || c == 'b'));
         });
     }
 

@@ -27,6 +27,23 @@ use std::sync::Mutex;
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV: &str = "OASIS_JOBS";
 
+/// Parses a worker count: a decimal integer ≥ 1.
+pub fn parse_jobs(text: &str) -> Option<usize> {
+    text.parse().ok().filter(|&n| n > 0)
+}
+
+/// The worker count `OASIS_JOBS` asks for: `None` when the variable is
+/// unset, and an error naming the variable and its value when it is set
+/// but is not a count ≥ 1.
+// oasis-lint: boundary(env-read, "job count changes scheduling only; map() returns input-order results for any worker count")
+pub fn jobs_from_env() -> Result<Option<usize>, String> {
+    let Some(raw) = std::env::var_os(JOBS_ENV) else { return Ok(None) };
+    let text = raw.to_string_lossy();
+    parse_jobs(&text)
+        .map(Some)
+        .ok_or_else(|| format!("{JOBS_ENV}={text:?}: want a worker count ≥ 1"))
+}
+
 /// A fixed-width pool of scoped worker threads.
 ///
 /// The pool is a policy object, not a thread cache: threads are spawned
@@ -50,12 +67,14 @@ impl WorkerPool {
 
     /// A pool sized from `OASIS_JOBS`, falling back to the machine's
     /// available parallelism (and to one worker if even that is unknown).
-    // oasis-lint: boundary(env-read, "job count changes scheduling only; map() returns input-order results for any worker count")
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`jobs_from_env`]'s message when `OASIS_JOBS` is set but
+    /// is not a worker count.
     pub fn from_env() -> WorkerPool {
-        let jobs = std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
+        let jobs = jobs_from_env()
+            .unwrap_or_else(|err| panic!("{err}"))
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         WorkerPool::new(jobs)
     }
@@ -162,6 +181,14 @@ mod tests {
     fn jobs_clamped_to_at_least_one() {
         assert_eq!(WorkerPool::new(0).jobs(), 1);
         assert!(WorkerPool::from_env().jobs() >= 1);
+    }
+
+    #[test]
+    fn parse_jobs_wants_a_positive_count() {
+        assert_eq!(parse_jobs("3"), Some(3));
+        for bad in ["0", "abc", "", "-1", "2.5"] {
+            assert_eq!(parse_jobs(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl SimDuration {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// Hours as a float.
-    pub fn as_hours_f64(self) -> f64 {
-        self.as_secs_f64() / 3_600.0
-    }
-
     /// `true` if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -264,19 +264,6 @@ impl Metrics {
             .collect()
     }
 
-    /// All histograms named `name`, as `(labels, handle)` pairs sorted by
-    /// label set.
-    pub fn histograms_with_name(&self, name: &str) -> Vec<(Labels, Histogram)> {
-        self.inner
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(k, h)| (k.labels.clone(), h.clone()))
-            .collect()
-    }
-
     /// Renders the registry in Prometheus text exposition format.
     ///
     /// Output is sorted by metric name then label set, so it is stable

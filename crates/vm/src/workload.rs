@@ -139,12 +139,6 @@ impl IdleAccessModel {
         let after = self.unique_touched(t_now, allocation);
         pages_for(after.saturating_sub(before)).max(1)
     }
-
-    /// Steady-state unique-touch growth once the working set saturated
-    /// (bytes per second).
-    pub fn steady_growth_per_sec(&self) -> f64 {
-        self.growth_per_min.as_bytes() as f64 / 60.0
-    }
 }
 
 #[cfg(test)]

@@ -6,30 +6,8 @@
 use oasis_mem::ByteSize;
 use oasis_sim::check::{run, Gen};
 use oasis_sim::SimDuration;
-use oasis_vm::config::VmConfig;
 use oasis_vm::workload::WorkloadClass;
 use oasis_vm::{Vm, VmId, VmState};
-
-/// VM configuration files round trip through the parser.
-#[test]
-fn vm_config_round_trips() {
-    run(64, |g: &mut Gen| {
-        let cfg = VmConfig {
-            vmid: VmId(g.u32_in(0, 10_000)),
-            disk: g.string(
-                "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789/_.:-",
-                1,
-                41,
-            ),
-            memory: ByteSize::mib(g.u64_in(1, 1_048_576)),
-            vcpus: g.u32_in(1, 64),
-            vfb: g.bool(),
-            network: "bridge=xenbr0".to_string(),
-        };
-        let parsed = VmConfig::parse(&cfg.to_text()).unwrap();
-        assert_eq!(parsed, cfg);
-    });
-}
 
 /// A VM's memory demand never exceeds its allocation, through any
 /// sequence of residency changes and growth.
